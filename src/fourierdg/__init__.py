@@ -21,7 +21,7 @@ from .data import (
     write_metadata,
     zscore_fit_apply,
 )
-from .errors import FourierDGError
+from .errors import FourierDGError, TrainingDivergedError
 from .evaluate import (
     ablate_faac,
     auroc,
@@ -61,7 +61,7 @@ __all__ = [
     "GeneMatrix", "NormStats", "SampleMeta", "align_genes", "binarize_ic50",
     "load_expression", "load_metadata", "lodo_split", "select_hvg",
     "write_expression", "write_metadata", "zscore_fit_apply",
-    "FourierDGError",
+    "FourierDGError", "TrainingDivergedError",
     "ablate_faac", "auroc", "embed_2d", "feature_ic50_r2", "lodo_run",
     "roc_points",
     "FourierBasis", "build_basis", "project", "reconstruct",

@@ -86,7 +86,8 @@ def _detect_delimiter(header_line: str) -> str:
 
 
 def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    text = Path(path).read_text(encoding="utf-8-sig")
     return [ln for ln in text.splitlines() if ln.strip() != ""]
 
 

@@ -41,6 +41,10 @@ class ConfigurationError(FourierDGError):
     """Training configuration is unusable for the given data."""
 
 
+class TrainingDivergedError(FourierDGError):
+    """A training loss term became non-finite."""
+
+
 class MetricError(FourierDGError):
     """A metric is undefined for the given inputs."""
 

@@ -33,12 +33,16 @@ def as_matrix(data, name: str = "matrix") -> Array:
 
 
 class Param:
-    """A trainable array with an accumulated gradient."""
+    """A trainable array with an accumulated gradient.
+
+    ``value`` is C-contiguous float64: the optimizer updates it in place
+    through a flat view, which a non-contiguous array cannot provide.
+    """
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):

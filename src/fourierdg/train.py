@@ -9,6 +9,7 @@ seed reproduces checkpoints and logs byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import fourier
 from .data import GeneMatrix, SampleMeta, align_genes, zscore_fit_apply
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, TrainingDivergedError
 from .losses import (
     LossBreakdown,
     asymmetric_loss,
@@ -80,8 +81,24 @@ class EpochLog:
     val_auc: Optional[float] = None
 
 
+ADAM_BLOCK = 65_536  # elements per update block; its six streams stay in cache
+
+
 class Adam:
-    """Standard Adam (b1=0.9, b2=0.999, eps=1e-8); one step per batch."""
+    """Standard Adam (b1=0.9, b2=0.999, eps=1e-8); one step per batch.
+
+    ``step`` mutates ``m``, ``v`` and every ``Param.value`` in place, one
+    block of ADAM_BLOCK elements at a time, through two scratch buffers that
+    all parameters share.  Each element goes through the same IEEE
+    operations, in the same order, as
+
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p = p - (lr*(m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps)
+
+    so results are bitwise identical to that expression; folding constants
+    such as lr/(1-b1**t) would change the last bits.
+    """
 
     def __init__(self, params: Sequence[Param], lr: float,
                  b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
@@ -89,18 +106,42 @@ class Adam:
         self.lr = lr
         self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = [np.zeros(p.value.shape) for p in self.params]
+        self.v = [np.zeros(p.value.shape) for p in self.params]
+        largest = max((p.value.size for p in self.params), default=0)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, largest)))
 
     def step(self):
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
-            m_hat = self.m[i] / (1.0 - self.b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.b2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if not p.value.flags.c_contiguous:  # reshape(-1) would copy
+                p.value = np.ascontiguousarray(p.value)
+            pf, mf, vf = p.value.reshape(-1), m.reshape(-1), v.reshape(-1)
+            gf = p.grad.reshape(-1)
+            for lo in range(0, pf.size, ADAM_BLOCK):
+                pb = pf[lo: lo + ADAM_BLOCK]
+                mb = mf[lo: lo + ADAM_BLOCK]
+                vb = vf[lo: lo + ADAM_BLOCK]
+                gb = gf[lo: lo + ADAM_BLOCK]
+                a = self._scratch[0, : pb.size]
+                b = self._scratch[1, : pb.size]
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1.0 - b1, out=a)
+                np.add(mb, a, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, 1.0 - b2, out=a)
+                np.multiply(a, gb, out=a)
+                np.add(vb, a, out=vb)
+                np.divide(mb, bc1, out=a)
+                np.multiply(a, lr, out=a)
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(pb, a, out=pb)
 
 
 def make_batches(n: int, batch_size: int, rng: RngState) -> list[np.ndarray]:
@@ -172,7 +213,7 @@ def fit(
     for epoch in range(1, cfg.epochs + 1):
         batches = make_batches(n, cfg.batch_size, rng)
         sums = np.zeros(3)
-        for idx in batches:
+        for batch_index, idx in enumerate(batches):
             xb = x_all[idx]
             yb = responses[idx]
             db = domains[idx]
@@ -186,6 +227,12 @@ def fit(
                 l_asy, dz_asy, _ = asymmetric_loss(z, yb)
             else:
                 l_asy, dz_asy = 0.0, None
+            for name, value in (("l_asy", l_asy), ("l_adv", l_adv), ("l_cls", l_cls)):
+                if not math.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"training diverged at epoch {epoch}, batch index "
+                        f"{batch_index}: {name} = {value}"
+                    )
             for t in trainables:
                 t.zero_grad()
             dz = tapes.classifier.backward(cfg.lambda2 * dp[:, None])

@@ -107,6 +107,42 @@ class TestLoadMetadata:
         assert load_metadata(path) == metas
 
 
+ENCODING_VARIANTS = [
+    pytest.param(b"", b"\n", id="plain"),
+    pytest.param(b"\xef\xbb\xbf", b"\n", id="bom"),
+    pytest.param(b"", b"\r\n", id="crlf"),
+    pytest.param(b"\xef\xbb\xbf", b"\r\n", id="bom-crlf"),
+]
+
+
+def reencode(path, prefix, newline):
+    path.write_bytes(prefix + path.read_bytes().replace(b"\n", newline))
+
+
+class TestEncodingVariants:
+    """Spreadsheet exports add a UTF-8 byte-order mark and CRLF line ends."""
+
+    @pytest.mark.parametrize("prefix,newline", ENCODING_VARIANTS)
+    def test_expression(self, tmp_path, prefix, newline):
+        gm = GeneMatrix(["a", "b"], ["g1", "g2"],
+                        np.array([[0.1, -2.5], [1e-7, 3.0]]))
+        path = tmp_path / "e.csv"
+        write_expression(path, gm)
+        reencode(path, prefix, newline)
+        back = load_expression(path)
+        assert back.sample_ids == gm.sample_ids
+        assert back.gene_names == gm.gene_names
+        assert np.array_equal(back.values, gm.values)
+
+    @pytest.mark.parametrize("prefix,newline", ENCODING_VARIANTS)
+    def test_metadata(self, tmp_path, prefix, newline):
+        metas = [SampleMeta("s1", "lung", 0.25, 1), SampleMeta("s2", "skin", None, 0)]
+        path = tmp_path / "m.csv"
+        write_metadata(path, metas)
+        reencode(path, prefix, newline)
+        assert load_metadata(path) == metas
+
+
 class TestMatchMetadata:
     def test_reorders_and_drops_extras(self):
         gm = GeneMatrix(["b", "a"], ["g"], np.zeros((2, 1)))

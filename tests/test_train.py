@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fourierdg import FourierDGError, TrainingDivergedError
 from fourierdg.data import zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
@@ -10,6 +11,7 @@ from fourierdg.model import Checkpoint, GrlConfig, checkpoint_to_json
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import Param, RngState
 from fourierdg.train import (
+    ADAM_BLOCK,
     Adam,
     TrainConfig,
     config_echo,
@@ -60,7 +62,49 @@ class TestMakeBatches:
         assert flat == list(range(23))
 
 
+def textbook_adam(value, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Out-of-place Adam: the reference the in-place step matches bitwise."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 class TestAdam:
+    def test_bitwise_equal_to_textbook_update(self):
+        # > two blocks with a ragged tail, a 2-D weight, a 1-element bias
+        shapes = [(2 * ADAM_BLOCK + 123,), (37, 29), (1,)]
+        rng = np.random.default_rng(0)
+        params = [Param(rng.standard_normal(s)) for s in shapes]
+        ref = [(p.value.copy(), np.zeros(s), np.zeros(s)) for p, s in zip(params, shapes)]
+        optim = Adam(params, lr=1e-3)
+        for t in range(1, 6):
+            for i, p in enumerate(params):
+                p.grad = rng.standard_normal(p.value.shape) * 10.0 ** (i - t)
+                ref[i] = textbook_adam(*ref[i], p.grad, t, 1e-3)
+            optim.step()
+            for i, p in enumerate(params):
+                value, m, v = ref[i]
+                assert np.array_equal(p.value, value)
+                assert np.array_equal(optim.m[i], m)
+                assert np.array_equal(optim.v[i], v)
+
+    def test_fortran_order_param_moves_like_c_order_twin(self):
+        base = np.arange(12.0).reshape(3, 4)
+        f_param = Param(base.T)
+        assert f_param.value.flags.c_contiguous
+        c_param = Param(np.ascontiguousarray(base.T))
+        rebound = Param(np.zeros((4, 3)))
+        rebound.value = base.T
+        for p in (f_param, c_param, rebound):
+            optim = Adam([p], lr=0.1)
+            p.grad = np.arange(12.0).reshape(4, 3) - 5.5
+            optim.step()
+        assert not np.array_equal(c_param.value, base.T)
+        assert np.array_equal(f_param.value, c_param.value)
+        assert np.array_equal(rebound.value, c_param.value)
+
     def test_zero_gradient_no_move(self):
         p = Param(np.array([1.0, -2.0]))
         optim = Adam([p], lr=0.1)
@@ -154,6 +198,16 @@ class TestFit:
             assert log.losses.total == log.losses.l_adv
         # batch-norm running stats still moved
         assert not np.array_equal(params.bn1_stats.mean, np.zeros_like(params.bn1_stats.mean))
+
+    def test_divergence_raises_typed_error(self):
+        gm, metas, _ = tiny_data()
+        cfg = TrainConfig(**{**TINY, "lr": 1e300})
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingDivergedError,
+            match=r"epoch 1, batch index [1-9]\d*: l_(asy|adv|cls) = (nan|-?inf)",
+        ) as info:
+            fit(gm, metas, cfg)
+        assert isinstance(info.value, FourierDGError)
 
     def test_single_domain_rejected(self):
         gm, metas, _ = tiny_data()
