@@ -3,7 +3,7 @@
 Subcommands: synth, train, predict, lodo, ablate, gradcheck.  Every run
 prints its resolved configuration before executing.  Exit codes: 0 on
 success, 1 on validation errors (bad flags, malformed or missing files),
-2 on runtime failures.
+2 on runtime failures (diverged training included).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .data import (
     write_metadata,
     zscore_fit_apply,
 )
-from .errors import FourierDGError, ParameterError
+from .errors import FourierDGError, ParameterError, TrainingDivergedError
 from .model import Checkpoint, GrlConfig, encode, gradient_suite, load_checkpoint, save_checkpoint
 from .train import TrainConfig, config_echo, fit, predict, write_log_csv
 
@@ -311,6 +311,9 @@ def run(argv) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
+    except TrainingDivergedError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except (FourierDGError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

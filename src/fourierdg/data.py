@@ -101,9 +101,8 @@ def _parse_float(cell: str, lineno: int, context: str) -> float:
     return value
 
 
-def load_expression(path) -> GeneMatrix:
-    """Parse an expression table; raises ParseError with a line number."""
-    lines = _read_lines(path)
+def _expression_header(lines: list[str]) -> tuple[str, list[str]]:
+    """Delimiter and gene names of an expression table's header line."""
     if not lines:
         raise ParseError("line 1: empty expression file")
     delim = _detect_delimiter(lines[0])
@@ -111,36 +110,88 @@ def load_expression(path) -> GeneMatrix:
     if not header or header[0] != "sample_id":
         raise ParseError("line 1: first header field must be 'sample_id'")
     gene_names = header[1:]
+    if "" in gene_names:
+        raise ParseError(
+            f"line 1: empty gene name in header field {gene_names.index('') + 2}"
+        )
     if len(set(gene_names)) != len(gene_names):
         raise ParseError("line 1: duplicate gene names in header")
+    return delim, gene_names
+
+
+def _parse_rows_fast(
+    rows: list[str], delim: str, n_genes: int
+) -> Optional[tuple[list[str], np.ndarray]]:
+    """Whole-table parse with no per-cell checks; None on any problem.
+
+    ``float`` strips the same whitespace as ``str.strip``, so every value
+    equals the one :func:`_parse_rows_checked` gives for the same cell.
+    """
+    sample_ids: list[str] = []
+    values: list[float] = []
+    try:
+        for line in rows:
+            sid, _, rest = line.partition(delim)
+            cells = rest.split(delim)
+            if len(cells) != n_genes:
+                return None
+            sample_ids.append(sid.strip())
+            values.extend(map(float, cells))
+    except ValueError:
+        return None
+    matrix = np.array(values, dtype=np.float64).reshape(len(rows), n_genes)
+    if len(set(sample_ids)) != len(sample_ids) or not np.isfinite(matrix).all():
+        return None
+    return sample_ids, matrix
+
+
+def _parse_rows_checked(
+    rows: list[str], delim: str, gene_names: list[str]
+) -> tuple[list[str], np.ndarray]:
+    """Line-by-line parse; raises ParseError naming the first bad line."""
+    n_fields = len(gene_names) + 1
     sample_ids: list[str] = []
     seen: set[str] = set()
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    values: list[list[float]] = []
+    for lineno, line in enumerate(rows, start=2):
         cells = [c.strip() for c in line.split(delim)]
-        if len(cells) != len(header):
+        if len(cells) != n_fields:
             raise ParseError(
-                f"line {lineno}: expected {len(header)} fields, got {len(cells)}"
+                f"line {lineno}: expected {n_fields} fields, got {len(cells)}"
             )
         sid = cells[0]
         if sid in seen:
             raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
         seen.add(sid)
         sample_ids.append(sid)
-        rows.append(
+        values.append(
             [_parse_float(c, lineno, f"for gene {g!r}")
              for c, g in zip(cells[1:], gene_names)]
         )
-    values = np.asarray(rows, dtype=np.float64).reshape(len(sample_ids), len(gene_names))
+    matrix = np.asarray(values, dtype=np.float64).reshape(len(sample_ids), len(gene_names))
+    return sample_ids, matrix
+
+
+def load_expression(path) -> GeneMatrix:
+    """Parse an expression table; raises ParseError with a line number.
+
+    The whole table is parsed in one pass first; only when that finds a
+    problem does the line-by-line parser run, to name the line.
+    """
+    lines = _read_lines(path)
+    delim, gene_names = _expression_header(lines)
+    parsed = _parse_rows_fast(lines[1:], delim, len(gene_names))
+    if parsed is None:
+        parsed = _parse_rows_checked(lines[1:], delim, gene_names)
+    sample_ids, values = parsed
     return GeneMatrix(sample_ids, gene_names, values)
 
 
 def write_expression(path, gm: GeneMatrix, delimiter: str = ","):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(["sample_id"] + gm.gene_names) + "\n")
-        for i, sid in enumerate(gm.sample_ids):
-            cells = [sid] + [repr(float(v)) for v in gm.values[i]]
-            fh.write(delimiter.join(cells) + "\n")
+        for sid, row in zip(gm.sample_ids, gm.values):
+            fh.write(delimiter.join([sid, *map(repr, row.tolist())]) + "\n")
 
 
 META_HEADER = ["sample_id", "domain", "ic50", "response"]

@@ -11,6 +11,7 @@ feature space.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -32,12 +33,14 @@ class FourierBasis:
         self.norms_sq.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=8)
 def build_basis(d: int) -> FourierBasis:
     """Construct the basis for an even dimension d >= 2.
 
     Angles are reduced modulo the period in exact integer arithmetic
     before calling cos/sin, so orthogonality holds to ~machine precision
-    even at large d.
+    even at large d.  The basis is immutable, so one instance per
+    dimension is cached and shared by every model of that width.
     """
     if d < 2 or d % 2 != 0:
         raise ParameterError(f"basis dimension must be even and >= 2, got {d}")

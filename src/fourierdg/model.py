@@ -10,7 +10,9 @@ flowing from the domain discriminator back into the encoder.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -35,7 +37,7 @@ from .tensor_core import (
     sigmoid,
 )
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -71,6 +73,13 @@ class ForwardTapes:
 
 class ModelParams:
     """Weights, biases, and batch-norm state for the whole network."""
+
+    # Parameter and batch-norm slots in constructor order.
+    LAYOUT = (
+        "w1", "b1", "bn1_gamma", "bn1_beta", "bn1_stats",
+        "w2", "b2", "bn2_gamma", "bn2_beta", "bn2_stats",
+        "clf_w", "clf_b", "disc_w1", "disc_b1", "disc_w2", "disc_b2",
+    )
 
     def __init__(
         self,
@@ -126,13 +135,7 @@ class ModelParams:
         return ModelParams(
             self.gene_list,
             self.m_domains,
-            self.w1.copy(), self.b1.copy(),
-            self.bn1_gamma.copy(), self.bn1_beta.copy(), self.bn1_stats.copy(),
-            self.w2.copy(), self.b2.copy(),
-            self.bn2_gamma.copy(), self.bn2_beta.copy(), self.bn2_stats.copy(),
-            self.clf_w.copy(), self.clf_b.copy(),
-            self.disc_w1.copy(), self.disc_b1.copy(),
-            self.disc_w2.copy(), self.disc_b2.copy(),
+            *(getattr(self, name).copy() for name in self.LAYOUT),
         )
 
 
@@ -246,83 +249,98 @@ class Checkpoint:
     domains: list[str]
 
 
+def _encode_array(a: Array) -> dict:
+    """Format 2: the shape and the base64 of the little-endian float64 bytes."""
+    raw = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(raw.shape), "b64": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(stored, version: int) -> Array:
+    """Inverse of the array encoding of checkpoint ``format_version``."""
+    if version == 1:
+        return np.asarray(stored, dtype=np.float64)
+    try:
+        shape = tuple(int(n) for n in stored["shape"])
+        raw = base64.b64decode(stored["b64"], validate=True)
+    except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise ParameterError(f"malformed checkpoint array: {e!r}") from None
+    if any(n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
+        raise ParameterError(
+            f"checkpoint array of shape {list(shape)} holds {len(raw)} bytes"
+        )
+    # frombuffer over bytes is read-only; the copy lets Adam update in place
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _stats_keys(slot: str) -> tuple[str, str]:
+    stem = slot[: -len("_stats")]
+    return stem + "_mean", stem + "_var"
+
+
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
     p = ckpt.params
+    arrays = {}
+    for slot in ModelParams.LAYOUT:
+        value = getattr(p, slot)
+        if slot.endswith("_stats"):
+            mean_key, var_key = _stats_keys(slot)
+            arrays[mean_key] = _encode_array(value.mean)
+            arrays[var_key] = _encode_array(value.var)
+        else:
+            arrays[slot] = _encode_array(value.value)
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "d": p.d,
         "M": p.m_domains,
         "gene_list": p.gene_list,
-        "norm_mean": ckpt.stats.mean.tolist(),
-        "norm_std": ckpt.stats.std.tolist(),
+        "norm_mean": _encode_array(ckpt.stats.mean),
+        "norm_std": _encode_array(ckpt.stats.std),
         "grl": {"coefficient": ckpt.grl.coefficient},
         "train_config": ckpt.train_config,
         "domains": list(ckpt.domains),
-        "params": {
-            "w1": p.w1.value.tolist(),
-            "b1": p.b1.value.tolist(),
-            "bn1_gamma": p.bn1_gamma.value.tolist(),
-            "bn1_beta": p.bn1_beta.value.tolist(),
-            "bn1_mean": p.bn1_stats.mean.tolist(),
-            "bn1_var": p.bn1_stats.var.tolist(),
-            "w2": p.w2.value.tolist(),
-            "b2": p.b2.value.tolist(),
-            "bn2_gamma": p.bn2_gamma.value.tolist(),
-            "bn2_beta": p.bn2_beta.value.tolist(),
-            "bn2_mean": p.bn2_stats.mean.tolist(),
-            "bn2_var": p.bn2_stats.var.tolist(),
-            "clf_w": p.clf_w.value.tolist(),
-            "clf_b": p.clf_b.value.tolist(),
-            "disc_w1": p.disc_w1.value.tolist(),
-            "disc_b1": p.disc_b1.value.tolist(),
-            "disc_w2": p.disc_w2.value.tolist(),
-            "disc_b2": p.disc_b2.value.tolist(),
-        },
+        "params": arrays,
     }
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
+    """Rebuild a checkpoint of ``format_version`` 1 (nested lists) or 2."""
+    if not isinstance(doc, dict):
+        raise ParameterError("checkpoint must be a JSON object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if version not in (1, CHECKPOINT_FORMAT_VERSION):
         raise ParameterError(f"unsupported checkpoint format_version {version!r}")
-    raw = doc["params"]
+    try:
+        raw = doc["params"]
 
-    def arr(key):
-        return np.asarray(raw[key], dtype=np.float64)
+        def arr(key):
+            return _decode_array(raw[key], version)
 
-    def stats_from(mean_key, var_key):
-        s = RunningStats(len(raw[mean_key]))
-        s.mean = arr(mean_key)
-        s.var = arr(var_key)
-        return s
-
-    params = ModelParams(
-        doc["gene_list"],
-        int(doc["M"]),
-        Param(arr("w1")), Param(arr("b1")),
-        Param(arr("bn1_gamma")), Param(arr("bn1_beta")),
-        stats_from("bn1_mean", "bn1_var"),
-        Param(arr("w2")), Param(arr("b2")),
-        Param(arr("bn2_gamma")), Param(arr("bn2_beta")),
-        stats_from("bn2_mean", "bn2_var"),
-        Param(arr("clf_w")), Param(arr("clf_b")),
-        Param(arr("disc_w1")), Param(arr("disc_b1")),
-        Param(arr("disc_w2")), Param(arr("disc_b2")),
-    )
-    if params.d != int(doc["d"]):
-        raise ParameterError("checkpoint d field disagrees with stored arrays")
-    stats = NormStats(
-        gene_names=list(doc["gene_list"]),
-        mean=np.asarray(doc["norm_mean"], dtype=np.float64),
-        std=np.asarray(doc["norm_std"], dtype=np.float64),
-    )
-    return Checkpoint(
-        params=params,
-        stats=stats,
-        grl=GrlConfig(coefficient=float(doc["grl"]["coefficient"])),
-        train_config=dict(doc["train_config"]),
-        domains=list(doc["domains"]),
-    )
+        slots = []
+        for slot in ModelParams.LAYOUT:
+            if slot.endswith("_stats"):
+                mean_key, var_key = _stats_keys(slot)
+                running = RunningStats(0)
+                running.mean, running.var = arr(mean_key), arr(var_key)
+                slots.append(running)
+            else:
+                slots.append(Param(arr(slot)))
+        params = ModelParams(doc["gene_list"], int(doc["M"]), *slots)
+        if params.d != int(doc["d"]):
+            raise ParameterError("checkpoint d field disagrees with stored arrays")
+        stats = NormStats(
+            gene_names=list(doc["gene_list"]),
+            mean=_decode_array(doc["norm_mean"], version),
+            std=_decode_array(doc["norm_std"], version),
+        )
+        return Checkpoint(
+            params=params,
+            stats=stats,
+            grl=GrlConfig(coefficient=float(doc["grl"]["coefficient"])),
+            train_config=dict(doc["train_config"]),
+            domains=list(doc["domains"]),
+        )
+    except KeyError as e:
+        raise ParameterError(f"checkpoint is missing field {e}") from None
 
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
@@ -334,7 +352,10 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParameterError(f"checkpoint is not valid JSON: {e}") from None
     return checkpoint_from_dict(doc)
 
 

@@ -210,46 +210,49 @@ def fit(
     x_all = gm.values
 
     logs: list[EpochLog] = []
-    for epoch in range(1, cfg.epochs + 1):
-        batches = make_batches(n, cfg.batch_size, rng)
-        sums = np.zeros(3)
-        for batch_index, idx in enumerate(batches):
-            xb = x_all[idx]
-            yb = responses[idx]
-            db = domains[idx]
-            tapes = ForwardTapes()
-            z, p, logits = forward_full(
-                xb, params, grl, "train", rng, cfg.dropout_p, tapes
-            )
-            l_cls, dp = classification_loss(p, yb)
-            l_adv, dlogits = domain_adversarial_loss(logits, db)
-            if use_faac:
-                l_asy, dz_asy, _ = asymmetric_loss(z, yb)
-            else:
-                l_asy, dz_asy = 0.0, None
-            for name, value in (("l_asy", l_asy), ("l_adv", l_adv), ("l_cls", l_cls)):
-                if not math.isfinite(value):
-                    raise TrainingDivergedError(
-                        f"training diverged at epoch {epoch}, batch index "
-                        f"{batch_index}: {name} = {value}"
-                    )
-            for t in trainables:
-                t.zero_grad()
-            dz = tapes.classifier.backward(cfg.lambda2 * dp[:, None])
-            dz = dz + tapes.discriminator.backward(dlogits)
-            if use_faac:
-                dz = dz + cfg.lambda1 * dz_asy
-            tapes.encoder.backward(dz)
-            optim.step()
-            sums += (l_asy, l_adv, l_cls)
-        means = sums / len(batches)
-        breakdown = total_loss(means[0], means[1], means[2], cfg.lambda1, cfg.lambda2)
-        train_auc = auroc(_score(x_all, params), responses)
-        val_auc = None
-        if validation is not None:
-            val_gm, val_labels = validation
-            val_auc = auroc(_score(val_gm.values, params), np.asarray(val_labels))
-        logs.append(EpochLog(epoch, breakdown, train_auc, val_auc))
+    # A diverging run overflows before the loss check below names the batch;
+    # that typed error is the report, so numpy's warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            batches = make_batches(n, cfg.batch_size, rng)
+            sums = np.zeros(3)
+            for batch_index, idx in enumerate(batches):
+                xb = x_all[idx]
+                yb = responses[idx]
+                db = domains[idx]
+                tapes = ForwardTapes()
+                z, p, logits = forward_full(
+                    xb, params, grl, "train", rng, cfg.dropout_p, tapes
+                )
+                l_cls, dp = classification_loss(p, yb)
+                l_adv, dlogits = domain_adversarial_loss(logits, db)
+                if use_faac:
+                    l_asy, dz_asy, _ = asymmetric_loss(z, yb)
+                else:
+                    l_asy, dz_asy = 0.0, None
+                for name, value in (("l_asy", l_asy), ("l_adv", l_adv), ("l_cls", l_cls)):
+                    if not math.isfinite(value):
+                        raise TrainingDivergedError(
+                            f"training diverged at epoch {epoch}, batch index "
+                            f"{batch_index}: {name} = {value}"
+                        )
+                for t in trainables:
+                    t.zero_grad()
+                dz = tapes.classifier.backward(cfg.lambda2 * dp[:, None])
+                dz = dz + tapes.discriminator.backward(dlogits)
+                if use_faac:
+                    dz = dz + cfg.lambda1 * dz_asy
+                tapes.encoder.backward(dz)
+                optim.step()
+                sums += (l_asy, l_adv, l_cls)
+            means = sums / len(batches)
+            breakdown = total_loss(means[0], means[1], means[2], cfg.lambda1, cfg.lambda2)
+            train_auc = auroc(_score(x_all, params), responses)
+            val_auc = None
+            if validation is not None:
+                val_gm, val_labels = validation
+                val_auc = auroc(_score(val_gm.values, params), np.asarray(val_labels))
+            logs.append(EpochLog(epoch, breakdown, train_auc, val_auc))
     return params, logs
 
 

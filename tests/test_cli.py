@@ -75,6 +75,15 @@ class TestValidation:
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_diverged_training_is_runtime_failure(self, dataset, tmp_path, capsys):
+        expr, meta = dataset
+        rc = run(train_args(expr, meta, tmp_path, "diverge", ["--lr", "1e300"]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch 1, batch index ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ck_diverge.json").exists()
+
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
 

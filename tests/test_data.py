@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fourierdg import data
 from fourierdg.data import (
     GeneMatrix,
     SampleMeta,
@@ -73,6 +74,109 @@ class TestLoadExpression:
         write_expression(path, gm)
         back = load_expression(path)
         assert np.array_equal(back.values, gm.values)
+
+
+# (id, file text, expected outcome: None to parse, else the ParseError
+# text, and whether the one-pass parser alone accepts the file)
+PARSER_CASES = [
+    ("plain", "sample_id,g1,g2\ns1,1,2\ns2,3.5,-4e-3\n", None, True),
+    ("tsv", "sample_id\tg1\tg2\ns1\t1\t2\ns2\t3\t4\n", None, True),
+    ("tsv-comma-cell", "sample_id\tg1\ns1\t1,5\n",
+     "line 2: non-numeric value '1,5' for gene 'g1'", False),
+    ("padded-cells", "sample_id , g1 ,g2\n  s1 ,  1.5 , 2 \n s2,3 , 4\n", None, True),
+    ("underscore-digits", "sample_id,g1\ns1,1_0\n", None, True),
+    ("header-only", "sample_id,g1,g2\n", None, True),
+    ("no-genes", "sample_id\ns1\ns2\n", None, False),
+    ("trailing-delimiter", "sample_id,g1,g2,\ns1,1,2,\n",
+     "line 1: empty gene name in header field 4", False),
+    ("trailing-delimiter-rows", "sample_id,g1,g2\ns1,1,2,\n",
+     "line 2: expected 3 fields, got 4", False),
+    ("quoted-header", '"sample_id","g1"\ns1,1\n',
+     "line 1: first header field must be 'sample_id'", False),
+    ("quoted-cell", 'sample_id,g1\ns1,"1"\n',
+     "line 2: non-numeric value '\"1\"' for gene 'g1'", False),
+    ("nan", "sample_id,g1,g2\ns1,1,2\ns2,nan,2\n",
+     "line 3: non-finite value 'nan' for gene 'g1'", False),
+    ("inf", "sample_id,g1,g2\ns1,1,-inf\n",
+     "line 2: non-finite value '-inf' for gene 'g2'", False),
+    ("overflow", "sample_id,g1\ns1,1e400\n",
+     "line 2: non-finite value '1e400' for gene 'g1'", False),
+    ("ragged", "sample_id,g1,g2\ns1,1,2\ns2,1\n",
+     "line 3: expected 3 fields, got 2", False),
+    ("first-error-wins", "sample_id,g1,g2\ns1,x,2\ns2,1\n",
+     "line 2: non-numeric value 'x' for gene 'g1'", False),
+    ("duplicate-sample", "sample_id,g1\ns1,1\ns2,2\n s1 ,3\n",
+     "line 4: duplicate sample_id 's1'", False),
+    ("duplicate-gene", "sample_id,g1,g1\ns1,1,2\n",
+     "line 1: duplicate gene names in header", False),
+    ("empty", "", "line 1: empty expression file", False),
+    ("blank-only", "\n  \n", "line 1: empty expression file", False),
+]
+
+
+def parse_outcome(parse, path):
+    try:
+        gm = parse(path)
+    except ParseError as e:
+        return str(e)
+    return gm.sample_ids, gm.gene_names, gm.values.shape, gm.values.tobytes()
+
+
+def parse_checked(path):
+    """The line-by-line parser alone, without the one-pass attempt."""
+    lines = data._read_lines(path)
+    delim, gene_names = data._expression_header(lines)
+    sample_ids, values = data._parse_rows_checked(lines[1:], delim, gene_names)
+    return GeneMatrix(sample_ids, gene_names, values)
+
+
+class TestParserCases:
+    """load_expression must agree exactly with the line-by-line parser."""
+
+    @pytest.mark.parametrize(
+        "text,expected,fast", [c[1:] for c in PARSER_CASES],
+        ids=[c[0] for c in PARSER_CASES],
+    )
+    def test_same_result_as_checked_parser(self, tmp_path, text, expected, fast):
+        path = write(tmp_path, "e.csv", text)
+        got = parse_outcome(load_expression, path)
+        assert got == parse_outcome(parse_checked, path)
+        if expected is None:
+            assert not isinstance(got, str), got
+        else:
+            assert got == expected
+        if expected is None or not expected.startswith("line 1:"):
+            lines = data._read_lines(path)
+            delim, genes = data._expression_header(lines)
+            one_pass = data._parse_rows_fast(lines[1:], delim, len(genes))
+            assert (one_pass is not None) == fast
+
+    def test_padded_and_underscore_values(self, tmp_path):
+        gm = load_expression(write(
+            tmp_path, "e.csv", "sample_id , g1 ,g2\n  s1 ,  1.5 , 1_0 \n"))
+        assert gm.sample_ids == ["s1"] and gm.gene_names == ["g1", "g2"]
+        assert np.array_equal(gm.values, [[1.5, 10.0]])
+
+
+WRITE_MATRIX = GeneMatrix(
+    ["s1", "s2"], ["g1", "g2", "g3"],
+    np.array([[1e-7, -0.0, 0.1], [1e16, 123456789.125, -2.5e-300]]),
+)
+
+
+class TestWriteExpressionBytes:
+    @pytest.mark.parametrize("delimiter,expected", [
+        (",", "sample_id,g1,g2,g3\ns1,1e-07,-0.0,0.1\n"
+              "s2,1e+16,123456789.125,-2.5e-300\n"),
+        ("\t", "sample_id\tg1\tg2\tg3\ns1\t1e-07\t-0.0\t0.1\n"
+               "s2\t1e+16\t123456789.125\t-2.5e-300\n"),
+    ], ids=["csv", "tsv"])
+    def test_exact_bytes(self, tmp_path, delimiter, expected):
+        path = tmp_path / "out.txt"
+        write_expression(path, WRITE_MATRIX, delimiter)
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = load_expression(path)
+        assert back.values.tobytes() == WRITE_MATRIX.values.tobytes()
 
 
 class TestLoadMetadata:

@@ -19,6 +19,13 @@ class TestBuildBasis:
         )
         assert np.array_equal(basis.matrix, expected)
 
+    def test_cached_per_dimension_and_read_only(self):
+        basis = build_basis(6)
+        assert build_basis(6) is basis
+        assert build_basis(8) is not basis
+        assert not basis.matrix.flags.writeable
+        assert not basis.norms_sq.flags.writeable
+
     def test_d2_rows(self):
         basis = build_basis(2)
         assert np.array_equal(basis.matrix, [[1.0, 1.0], [1.0, -1.0]])

@@ -1,7 +1,9 @@
 """Network assembly, gradient reversal, checkpoints, and the
 reduced-model gradient audit."""
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from fourierdg.model import (
     save_checkpoint,
 )
 from fourierdg.tensor_core import RngState
+from fourierdg.train import Adam
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def small_params(seed=0, genes=12, m=3):
@@ -219,10 +224,123 @@ class TestCheckpoint:
         ckpt = self._make()
         path = tmp_path / "ck.json"
         save_checkpoint(path, ckpt)
-        import json
-
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError):
             load_checkpoint(path)
+
+
+def checkpoint_arrays(ckpt):
+    """Every stored float array of a checkpoint, as raw bytes."""
+    p = ckpt.params
+    arrays = [t.value for t in p.trainables()]
+    arrays += [p.bn1_stats.mean, p.bn1_stats.var, p.bn2_stats.mean, p.bn2_stats.var]
+    arrays += [ckpt.stats.mean, ckpt.stats.std]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def truncate_b64(entry):
+    entry["b64"] = entry["b64"][:-12]
+
+
+def cut_padding(entry):
+    entry["b64"] = entry["b64"][:-1]
+
+
+def wrong_shape(entry):
+    entry["shape"] = [entry["shape"][0] + 1, *entry["shape"][1:]]
+
+
+def negative_shape(entry):
+    entry["shape"] = [-n for n in entry["shape"]]
+
+
+def drop_shape(entry):
+    del entry["shape"]
+
+
+def non_base64(entry):
+    # without validate=True, b64decode would skip the "*" and load the array
+    entry["b64"] = entry["b64"][:8] + "*" + entry["b64"][8:]
+
+
+def test_copies_share_the_basis():
+    params = small_params(4)
+    assert params.copy().basis is params.basis
+
+
+class TestCheckpointFormat:
+    _make = TestCheckpoint._make
+
+    def _saved_doc(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, self._make())
+        return path, json.loads(path.read_text())
+
+    def test_v1_fixture_loads_bitwise(self, tmp_path):
+        """tests/fixtures/checkpoint_v1.json is the format-1 file written
+        for ``TestCheckpoint._make()`` before format 2 existed."""
+        ckpt = self._make()
+        loaded = load_checkpoint(FIXTURES / "checkpoint_v1.json")
+        assert checkpoint_arrays(loaded) == checkpoint_arrays(ckpt)
+        assert loaded.params.gene_list == ckpt.params.gene_list
+        assert loaded.domains == ckpt.domains
+        assert loaded.train_config == ckpt.train_config
+        resaved, fresh = tmp_path / "resaved.json", tmp_path / "fresh.json"
+        save_checkpoint(resaved, loaded)
+        save_checkpoint(fresh, ckpt)
+        assert json.loads(resaved.read_text())["format_version"] == 2
+        assert resaved.read_bytes() == fresh.read_bytes()
+
+    def test_arrays_stored_as_base64(self, tmp_path):
+        _, doc = self._saved_doc(tmp_path)
+        assert doc["format_version"] == 2
+        w1 = doc["params"]["w1"]
+        assert sorted(w1) == ["b64", "shape"] and w1["shape"] == [5, 10]
+        assert doc["norm_std"]["shape"] == [5]
+
+    def test_special_values_exact(self, tmp_path):
+        ckpt = self._make()
+        ckpt.params.b1.value[:4] = [-0.0, 5e-324, np.finfo(float).max, np.pi]
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, ckpt)
+        assert checkpoint_arrays(load_checkpoint(path)) == checkpoint_arrays(ckpt)
+
+    @pytest.mark.parametrize("corrupt", [
+        truncate_b64, cut_padding, wrong_shape, negative_shape, drop_shape, non_base64,
+    ])
+    def test_malformed_array_is_parameter_error(self, tmp_path, corrupt):
+        path, doc = self._saved_doc(tmp_path)
+        corrupt(doc["params"]["w1"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError):
+            load_checkpoint(path)
+
+    def test_missing_field_is_parameter_error(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        del doc["params"]["bn2_var"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="bn2_var"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format_version": 2', ""])
+    def test_not_a_checkpoint_object_is_parameter_error(self, tmp_path, text):
+        path = tmp_path / "ck.json"
+        path.write_text(text)
+        with pytest.raises(ParameterError):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_writable_for_adam(self, tmp_path):
+        path, _ = self._saved_doc(tmp_path)
+        loaded, fresh = load_checkpoint(path), self._make()
+        stats = [loaded.params.bn1_stats, loaded.params.bn2_stats]
+        for a in [t.value for t in loaded.params.trainables()] + [
+            s.mean for s in stats
+        ] + [s.var for s in stats]:
+            assert a.flags.writeable and a.flags.c_contiguous
+        for params in (loaded.params, fresh.params):
+            for i, t in enumerate(params.trainables()):
+                t.grad[...] = np.cos(np.arange(t.value.size) + i).reshape(t.value.shape)
+            Adam(params.trainables(), 1e-3).step()
+        assert checkpoint_arrays(loaded) == checkpoint_arrays(fresh)

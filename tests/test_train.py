@@ -1,5 +1,7 @@
 """Training loop behavior: batching, optimization, determinism, logging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,14 @@ class TestFit:
         ) as info:
             fit(gm, metas, cfg)
         assert isinstance(info.value, FourierDGError)
+
+    def test_divergence_raises_before_any_warning(self):
+        gm, metas, _ = tiny_data()
+        cfg = TrainConfig(**{**TINY, "lr": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError):
+                fit(gm, metas, cfg)
 
     def test_single_domain_rejected(self):
         gm, metas, _ = tiny_data()
