@@ -112,7 +112,6 @@ def build_parser() -> _Parser:
     p.add_argument("--meta", required=True)
     _add_train_flags(p)
     p.add_argument("--min-test-per-class", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-roc-dir", default=None)
 
@@ -122,7 +121,6 @@ def build_parser() -> _Parser:
     _add_train_flags(p)
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--min-test-per-class", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-table", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of gradients")
@@ -243,9 +241,7 @@ def _cmd_lodo(args) -> int:
     _print_resolved("lodo", args, seed=seed)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
-    report = evaluate.lodo_run(
-        gm, metas, cfg, args.min_test_per_class, hvg=k, jobs=args.jobs
-    )
+    report = evaluate.lodo_run(gm, metas, cfg, args.min_test_per_class, hvg=k)
     for e in report.entries:
         print(f"domain {e.domain}: n_test={e.n_test} auroc={e.roc.auroc:.4f}")
     print(f"mean auroc={report.mean_auroc:.4f}")
@@ -270,9 +266,7 @@ def _cmd_ablate(args) -> int:
     _print_resolved("ablate", args, seed=seed)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
-    result = evaluate.ablate_faac(
-        gm, metas, cfg, seeds, args.min_test_per_class, hvg=k, jobs=args.jobs
-    )
+    result = evaluate.ablate_faac(gm, metas, cfg, seeds, args.min_test_per_class, hvg=k)
     evaluate.write_ablation_csv(args.out_table, result)
     print(
         f"mean_on={result.mean_on:.4f} mean_off={result.mean_off:.4f} "

@@ -85,10 +85,15 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def _read_lines(path) -> list[str]:
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines with their 1-based line numbers in the file."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     text = Path(path).read_text(encoding="utf-8-sig")
-    return [ln for ln in text.splitlines() if ln.strip() != ""]
+    return [
+        (lineno, ln)
+        for lineno, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() != ""
+    ]
 
 
 def _parse_float(cell: str, lineno: int, context: str) -> float:
@@ -101,26 +106,28 @@ def _parse_float(cell: str, lineno: int, context: str) -> float:
     return value
 
 
-def _expression_header(lines: list[str]) -> tuple[str, list[str]]:
+def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
     """Delimiter and gene names of an expression table's header line."""
     if not lines:
         raise ParseError("line 1: empty expression file")
-    delim = _detect_delimiter(lines[0])
-    header = [c.strip() for c in lines[0].split(delim)]
+    lineno, line = lines[0]
+    delim = _detect_delimiter(line)
+    header = [c.strip() for c in line.split(delim)]
     if not header or header[0] != "sample_id":
-        raise ParseError("line 1: first header field must be 'sample_id'")
+        raise ParseError(f"line {lineno}: first header field must be 'sample_id'")
     gene_names = header[1:]
     if "" in gene_names:
         raise ParseError(
-            f"line 1: empty gene name in header field {gene_names.index('') + 2}"
+            f"line {lineno}: empty gene name in header field "
+            f"{gene_names.index('') + 2}"
         )
     if len(set(gene_names)) != len(gene_names):
-        raise ParseError("line 1: duplicate gene names in header")
+        raise ParseError(f"line {lineno}: duplicate gene names in header")
     return delim, gene_names
 
 
 def _parse_rows_fast(
-    rows: list[str], delim: str, n_genes: int
+    rows: list[tuple[int, str]], delim: str, n_genes: int
 ) -> Optional[tuple[list[str], np.ndarray]]:
     """Whole-table parse with no per-cell checks; None on any problem.
 
@@ -130,7 +137,7 @@ def _parse_rows_fast(
     sample_ids: list[str] = []
     values: list[float] = []
     try:
-        for line in rows:
+        for _, line in rows:
             sid, _, rest = line.partition(delim)
             cells = rest.split(delim)
             if len(cells) != n_genes:
@@ -146,14 +153,14 @@ def _parse_rows_fast(
 
 
 def _parse_rows_checked(
-    rows: list[str], delim: str, gene_names: list[str]
+    rows: list[tuple[int, str]], delim: str, gene_names: list[str]
 ) -> tuple[list[str], np.ndarray]:
     """Line-by-line parse; raises ParseError naming the first bad line."""
     n_fields = len(gene_names) + 1
     sample_ids: list[str] = []
     seen: set[str] = set()
     values: list[list[float]] = []
-    for lineno, line in enumerate(rows, start=2):
+    for lineno, line in rows:
         cells = [c.strip() for c in line.split(delim)]
         if len(cells) != n_fields:
             raise ParseError(
@@ -202,15 +209,16 @@ def load_metadata(path) -> list[SampleMeta]:
     lines = _read_lines(path)
     if not lines:
         raise ParseError("line 1: empty metadata file")
-    delim = _detect_delimiter(lines[0])
-    header = [c.strip() for c in lines[0].split(delim)]
+    header_lineno, header_line = lines[0]
+    delim = _detect_delimiter(header_line)
+    header = [c.strip() for c in header_line.split(delim)]
     if header != META_HEADER:
         raise ParseError(
-            f"line 1: metadata header must be {','.join(META_HEADER)}"
+            f"line {header_lineno}: metadata header must be {','.join(META_HEADER)}"
         )
     metas: list[SampleMeta] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(delim)]
         if len(cells) != 4:
             raise ParseError(f"line {lineno}: expected 4 fields, got {len(cells)}")

@@ -9,7 +9,6 @@ touch normalization statistics or training.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -50,16 +49,20 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties receiving the mean of their positions."""
+    """1-based ranks, ties receiving the mean of their positions.
+
+    One stable sort; a tie group starts wherever a sorted value differs
+    from its neighbour (so each NaN is its own group).
+    """
     order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    new_group = np.ones(x.size, dtype=bool)
+    np.not_equal(xs[1:], xs[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(np.append(starts, x.size))
+    ends = starts + counts - 1
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, counts)
     return ranks
 
 
@@ -296,7 +299,6 @@ def lodo_run(
     cfg: TrainConfig,
     min_test_per_class: int = 3,
     hvg: Optional[int] = None,
-    jobs: int = 1,
 ) -> LodoReport:
     """Hold out each eligible domain in turn; report per-domain ROC."""
     metas = match_metadata(gm, metas)
@@ -311,15 +313,7 @@ def lodo_run(
         raise ReportError(
             f"no domain has {min_test_per_class}+ samples of each class"
         )
-
-    def one(domain):
-        return run_fold(gm, metas, domain, cfg, hvg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(one, targets))
-    else:
-        folds = [one(d) for d in targets]
+    folds = [run_fold(gm, metas, domain, cfg, hvg) for domain in targets]
     entries = [
         DomainResult(
             domain=f.domain,
@@ -362,7 +356,6 @@ def ablate_faac(
     seeds: Sequence[int],
     min_test_per_class: int = 3,
     hvg: Optional[int] = None,
-    jobs: int = 1,
 ) -> AblationResult:
     """Run the LODO harness with the clustering constraint on and off for
     each seed and compare mean held-out AUROC."""
@@ -372,7 +365,7 @@ def ablate_faac(
     for seed in seeds:
         for faac_on in (True, False):
             run_cfg = replace(cfg, seed=seed, faac_enabled=faac_on)
-            report = lodo_run(gm, metas, run_cfg, min_test_per_class, hvg, jobs)
+            report = lodo_run(gm, metas, run_cfg, min_test_per_class, hvg)
             rows.extend(
                 AblationRow(seed, faac_on, e.domain, e.roc.auroc)
                 for e in report.entries

@@ -32,9 +32,11 @@ from .tensor_core import (
     affine,
     batchnorm,
     dropout,
+    flat_views,
     grad_check,
     relu,
     sigmoid,
+    zeros_mapped,
 )
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -72,76 +74,91 @@ class ForwardTapes:
 
 
 class ModelParams:
-    """Weights, biases, and batch-norm state for the whole network."""
+    """Weights, biases, and batch-norm state for the whole network.
 
-    # Parameter and batch-norm slots in constructor order.
-    LAYOUT = (
-        "w1", "b1", "bn1_gamma", "bn1_beta", "bn1_stats",
-        "w2", "b2", "bn2_gamma", "bn2_beta", "bn2_stats",
-        "clf_w", "clf_b", "disc_w1", "disc_b1", "disc_w2", "disc_b2",
+    Every trainable lives in one flat float64 arena: ``values`` and
+    ``grads`` hold the parameters back to back in ``trainables()`` order,
+    and each ``Param.value`` / ``Param.grad`` is a reshaped view into them.
+    So the optimizer, ``copy`` and the gradient audit's vector packing each
+    walk two buffers instead of 14 arrays.  Write parameters in place;
+    rebinding a ``Param.value`` detaches it from the arena.
+    """
+
+    # (slot, shape in named widths, initial value) in trainables() order;
+    # the first N_ENCODER slots are the encoder group, the rest the heads.
+    TRAINABLES = (
+        ("w1", ("genes", "hidden"), "glorot"),
+        ("b1", ("hidden",), "zeros"),
+        ("bn1_gamma", ("hidden",), "ones"),
+        ("bn1_beta", ("hidden",), "zeros"),
+        ("w2", ("hidden", "d"), "glorot"),
+        ("b2", ("d",), "zeros"),
+        ("bn2_gamma", ("d",), "ones"),
+        ("bn2_beta", ("d",), "zeros"),
+        ("clf_w", ("d", "one"), "glorot"),
+        ("clf_b", ("one",), "zeros"),
+        ("disc_w1", ("d", "disc_hidden"), "glorot"),
+        ("disc_b1", ("disc_hidden",), "zeros"),
+        ("disc_w2", ("disc_hidden", "m_domains"), "glorot"),
+        ("disc_b2", ("m_domains",), "zeros"),
     )
+    N_ENCODER = 8
+    # batch-norm running statistics, outside the arena: (slot, width)
+    STATS = (("bn1_stats", "hidden"), ("bn2_stats", "d"))
 
     def __init__(
         self,
         gene_list: Sequence[str],
         m_domains: int,
-        w1: Param,
-        b1: Param,
-        bn1_gamma: Param,
-        bn1_beta: Param,
-        bn1_stats: RunningStats,
-        w2: Param,
-        b2: Param,
-        bn2_gamma: Param,
-        bn2_beta: Param,
-        bn2_stats: RunningStats,
-        clf_w: Param,
-        clf_b: Param,
-        disc_w1: Param,
-        disc_b1: Param,
-        disc_w2: Param,
-        disc_b2: Param,
+        hidden: int,
+        d: int,
+        disc_hidden: int,
     ):
+        """Zero-filled arena; ``init_params`` or a checkpoint fills it."""
         self.gene_list = list(gene_list)
         self.m_domains = int(m_domains)
-        self.w1, self.b1 = w1, b1
-        self.bn1_gamma, self.bn1_beta, self.bn1_stats = bn1_gamma, bn1_beta, bn1_stats
-        self.w2, self.b2 = w2, b2
-        self.bn2_gamma, self.bn2_beta, self.bn2_stats = bn2_gamma, bn2_beta, bn2_stats
-        self.clf_w, self.clf_b = clf_w, clf_b
-        self.disc_w1, self.disc_b1 = disc_w1, disc_b1
-        self.disc_w2, self.disc_b2 = disc_w2, disc_b2
-        self.d = int(w2.value.shape[1])
+        self.hidden, self.d, self.disc_hidden = int(hidden), int(d), int(disc_hidden)
         if self.d % 2 != 0:
             raise ParameterError(f"encoder output dimension must be even, got {self.d}")
+        widths = {
+            "genes": len(self.gene_list), "hidden": self.hidden, "d": self.d,
+            "disc_hidden": self.disc_hidden, "m_domains": self.m_domains, "one": 1,
+        }
+        shapes = [tuple(widths[w] for w in dims) for _, dims, _ in self.TRAINABLES]
+        total = sum(math.prod(shape) for shape in shapes)
+        self.values = zeros_mapped(total)
+        self.grads = zeros_mapped(total)
+        self._trainables = []
+        for (slot, _, init), value, grad in zip(
+            self.TRAINABLES, flat_views(self.values, shapes), flat_views(self.grads, shapes)
+        ):
+            if init == "ones":
+                value[...] = 1.0
+            param = Param(value, grad)
+            setattr(self, slot, param)
+            self._trainables.append(param)
+        for slot, width in self.STATS:
+            setattr(self, slot, RunningStats(widths[width]))
         self.basis = fourier.build_basis(self.d)
 
     def encoder_trainables(self) -> list[Param]:
-        return [
-            self.w1, self.b1, self.bn1_gamma, self.bn1_beta,
-            self.w2, self.b2, self.bn2_gamma, self.bn2_beta,
-        ]
+        return self._trainables[: self.N_ENCODER]
 
     def head_trainables(self) -> list[Param]:
-        return [
-            self.clf_w, self.clf_b,
-            self.disc_w1, self.disc_b1, self.disc_w2, self.disc_b2,
-        ]
+        return self._trainables[self.N_ENCODER:]
 
     def trainables(self) -> list[Param]:
-        return self.encoder_trainables() + self.head_trainables()
+        return list(self._trainables)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.gene_list,
-            self.m_domains,
-            *(getattr(self, name).copy() for name in self.LAYOUT),
+        out = ModelParams(
+            self.gene_list, self.m_domains, self.hidden, self.d, self.disc_hidden
         )
-
-
-def _glorot(rng: RngState, fan_in: int, fan_out: int) -> Param:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Param(rng.uniform(-bound, bound, (fan_in, fan_out)))
+        out.values[...] = self.values
+        out.grads[...] = self.grads
+        for slot, _ in self.STATS:
+            setattr(out, slot, getattr(self, slot).copy())
+        return out
 
 
 def init_params(
@@ -157,22 +174,17 @@ def init_params(
         gene_list = [f"g{i}" for i in range(genes)]
     else:
         gene_list = list(genes)
-    g = len(gene_list)
-    if g < 1:
+    if len(gene_list) < 1:
         raise ParameterError("need at least one gene")
     if m_domains < 2:
         raise ParameterError(f"need at least 2 domains, got {m_domains}")
-    return ModelParams(
-        gene_list,
-        m_domains,
-        _glorot(rng, g, hidden), Param(np.zeros(hidden)),
-        Param(np.ones(hidden)), Param(np.zeros(hidden)), RunningStats(hidden),
-        _glorot(rng, hidden, d), Param(np.zeros(d)),
-        Param(np.ones(d)), Param(np.zeros(d)), RunningStats(d),
-        _glorot(rng, d, 1), Param(np.zeros(1)),
-        _glorot(rng, d, disc_hidden), Param(np.zeros(disc_hidden)),
-        _glorot(rng, disc_hidden, m_domains), Param(np.zeros(m_domains)),
-    )
+    params = ModelParams(gene_list, m_domains, hidden, d, disc_hidden)
+    for (_, _, init), param in zip(params.TRAINABLES, params.trainables()):
+        if init == "glorot":
+            fan_in, fan_out = param.value.shape
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            param.value[...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+    return params
 
 
 def encode(
@@ -190,7 +202,7 @@ def encode(
             f"expected {len(params.gene_list)} gene columns, got "
             f"{x.shape[1] if x.ndim == 2 else 'non-matrix input'}"
         )
-    h = affine(x, params.w1, params.b1, tape)
+    h = affine(x, params.w1, params.b1, tape, input_grad=False)
     h = batchnorm(h, params.bn1_gamma, params.bn1_beta, params.bn1_stats, mode, tape)
     h = relu(h, tape)
     h = dropout(h, dropout_p, rng, mode, tape)
@@ -256,7 +268,11 @@ def _encode_array(a: Array) -> dict:
 
 
 def _decode_array(stored, version: int) -> Array:
-    """Inverse of the array encoding of checkpoint ``format_version``."""
+    """Inverse of the array encoding of checkpoint ``format_version``.
+
+    A format-2 array is a read-only view of the decoded bytes; callers copy
+    it into place.
+    """
     if version == 1:
         return np.asarray(stored, dtype=np.float64)
     try:
@@ -268,8 +284,17 @@ def _decode_array(stored, version: int) -> Array:
         raise ParameterError(
             f"checkpoint array of shape {list(shape)} holds {len(raw)} bytes"
         )
-    # frombuffer over bytes is read-only; the copy lets Adam update in place
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _fill(target: Array, value: Array, key: str):
+    """Copy a decoded checkpoint array into its slot of the model."""
+    if value.shape != target.shape:
+        raise ParameterError(
+            f"checkpoint array {key!r} has shape {list(value.shape)}, "
+            f"expected {list(target.shape)}"
+        )
+    target[...] = value
 
 
 def _stats_keys(slot: str) -> tuple[str, str]:
@@ -279,15 +304,15 @@ def _stats_keys(slot: str) -> tuple[str, str]:
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
     p = ckpt.params
-    arrays = {}
-    for slot in ModelParams.LAYOUT:
-        value = getattr(p, slot)
-        if slot.endswith("_stats"):
-            mean_key, var_key = _stats_keys(slot)
-            arrays[mean_key] = _encode_array(value.mean)
-            arrays[var_key] = _encode_array(value.var)
-        else:
-            arrays[slot] = _encode_array(value.value)
+    arrays = {
+        slot: _encode_array(getattr(p, slot).value)
+        for slot, _, _ in ModelParams.TRAINABLES
+    }
+    for slot, _ in ModelParams.STATS:
+        running = getattr(p, slot)
+        mean_key, var_key = _stats_keys(slot)
+        arrays[mean_key] = _encode_array(running.mean)
+        arrays[var_key] = _encode_array(running.var)
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "d": p.d,
@@ -315,22 +340,21 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         def arr(key):
             return _decode_array(raw[key], version)
 
-        slots = []
-        for slot in ModelParams.LAYOUT:
-            if slot.endswith("_stats"):
-                mean_key, var_key = _stats_keys(slot)
-                running = RunningStats(0)
-                running.mean, running.var = arr(mean_key), arr(var_key)
-                slots.append(running)
-            else:
-                slots.append(Param(arr(slot)))
-        params = ModelParams(doc["gene_list"], int(doc["M"]), *slots)
-        if params.d != int(doc["d"]):
-            raise ParameterError("checkpoint d field disagrees with stored arrays")
+        params = ModelParams(
+            doc["gene_list"], int(doc["M"]),
+            hidden=arr("b1").size, d=int(doc["d"]), disc_hidden=arr("disc_b1").size,
+        )
+        for slot, _, _ in ModelParams.TRAINABLES:
+            _fill(getattr(params, slot).value, arr(slot), slot)
+        for slot, _ in ModelParams.STATS:
+            running = getattr(params, slot)
+            mean_key, var_key = _stats_keys(slot)
+            _fill(running.mean, arr(mean_key), mean_key)
+            _fill(running.var, arr(var_key), var_key)
         stats = NormStats(
             gene_names=list(doc["gene_list"]),
-            mean=_decode_array(doc["norm_mean"], version),
-            std=_decode_array(doc["norm_std"], version),
+            mean=np.array(_decode_array(doc["norm_mean"], version)),
+            std=np.array(_decode_array(doc["norm_std"], version)),
         )
         return Checkpoint(
             params=params,
@@ -364,17 +388,13 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 
 def params_to_vector(params: ModelParams) -> Array:
-    return np.concatenate([p.value.ravel() for p in params.trainables()])
+    return params.values.copy()
 
 
 def set_params_from_vector(params: ModelParams, vec: Array):
-    offset = 0
-    for p in params.trainables():
-        n = p.value.size
-        p.value = vec[offset: offset + n].reshape(p.value.shape).copy()
-        offset += n
-    if offset != vec.size:
+    if vec.shape != params.values.shape:
         raise DimensionError("parameter vector length mismatch")
+    params.values[...] = vec
 
 
 def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:

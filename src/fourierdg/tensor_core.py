@@ -9,6 +9,8 @@ reverse order of the forward calls, accumulating parameter gradients into
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,23 +37,41 @@ def as_matrix(data, name: str = "matrix") -> Array:
 class Param:
     """A trainable array with an accumulated gradient.
 
-    ``value`` is C-contiguous float64: the optimizer updates it in place
-    through a flat view, which a non-contiguous array cannot provide.
+    ``value`` is C-contiguous float64.  ``grad`` defaults to zeros; a model
+    passes views into its flat storage for both (see ``ModelParams``).
     """
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value):
+    def __init__(self, value, grad: Optional[Array] = None):
         self.value = np.asarray(value, dtype=np.float64, order="C")
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
 
     def zero_grad(self):
         self.grad[...] = 0.0
 
-    def copy(self) -> "Param":
-        p = Param(self.value.copy())
-        p.grad = self.grad.copy()
-        return p
+
+def zeros_mapped(n: int) -> Array:
+    """``n`` float64 zeros in an anonymous memory map of their own.
+
+    For long-lived multi-MB buffers (parameter arenas, Adam moments).
+    Freeing one as a malloc block would raise glibc's dynamic mmap
+    threshold to its size, after which medium arrays stay on the heap and
+    fragment it; a map of its own is returned to the system whole.
+    """
+    if n == 0:
+        return np.zeros(0)
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
+def flat_views(flat: Array, shapes) -> list[Array]:
+    """Consecutive reshaped views of a 1-D buffer, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        end = offset + math.prod(shape)
+        views.append(flat[offset:end].reshape(shape))
+        offset = end
+    return views
 
 
 class GradTape:
@@ -140,10 +160,18 @@ def _check_mode(mode: str):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
-def affine(x: Array, w: Param, b: Param, tape: Optional[GradTape] = None) -> Array:
+def affine(
+    x: Array,
+    w: Param,
+    b: Param,
+    tape: Optional[GradTape] = None,
+    input_grad: bool = True,
+) -> Array:
     """y = x @ W + bias, bias broadcast over rows.
 
     Backward: dX = dY @ W.T, dW += x.T @ dY, dbias += column sums of dY.
+    With ``input_grad=False`` (x is data, not an activation) backward skips
+    dX and returns None.
     """
     if x.ndim != 2 or w.value.ndim != 2:
         raise DimensionError("affine expects 2-D inputs")
@@ -161,7 +189,7 @@ def affine(x: Array, w: Param, b: Param, tape: Optional[GradTape] = None) -> Arr
         def backward(dy):
             w.grad += x.T @ dy
             b.grad += dy.sum(axis=0)
-            return dy @ w.value.T
+            return dy @ w.value.T if input_grad else None
         tape.record(backward)
     return y
 
@@ -211,10 +239,13 @@ def batchnorm(
         b = x.shape[0]
         if b < 2:
             raise BatchSizeError(f"batchnorm train mode needs batch >= 2, got {b}")
+        # population variance in one centring pass; the same operations as
+        # x.var(axis=0), so bitwise equal to it
         mu = x.mean(axis=0)
-        var = x.var(axis=0)  # population variance
+        xc = x - mu
+        var = (xc * xc).mean(axis=0)
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv
+        xhat = xc * inv
         state.mean = (1.0 - momentum) * state.mean + momentum * mu
         state.var = (1.0 - momentum) * state.var + momentum * var
         y = gamma.value * xhat + beta.value

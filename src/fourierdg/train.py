@@ -34,7 +34,9 @@ from .model import (
     forward_full,
     init_params,
 )
-from .tensor_core import Param, RngState, affine, sigmoid
+from .tensor_core import (
+    Param, RngState, affine, flat_views, sigmoid, zeros_mapped,
+)
 
 SCORE_EPS = 1e-12
 
@@ -84,13 +86,52 @@ class EpochLog:
 ADAM_BLOCK = 65_536  # elements per update block; its six streams stay in cache
 
 
+def _tiled_span(arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The stretch of one 1-D float64 buffer that ``arrays`` tile back to
+    back in order, as a flat view; None when they do not."""
+    if not arrays:
+        return None
+    base = arrays[0].base
+    if not (isinstance(base, np.ndarray) and base.ndim == 1
+            and base.dtype == np.float64 and base.flags.c_contiguous):
+        return None
+    start = ptr = arrays[0].__array_interface__["data"][0]
+    for a in arrays:
+        if (a.base is not base or not a.flags.c_contiguous
+                or a.__array_interface__["data"][0] != ptr):
+            return None
+        ptr += a.nbytes
+    lo = (start - base.__array_interface__["data"][0]) // base.itemsize
+    return base[lo: lo + (ptr - start) // base.itemsize]
+
+
+def _flat_storage(params: Sequence[Param], attr: str, shapes) -> np.ndarray:
+    """One flat buffer holding ``getattr(p, attr)`` of every Param in order:
+    the buffer they already tile (a model's arena), else a packed copy to
+    whose views the Params are rebound."""
+    flat = _tiled_span([getattr(p, attr) for p in params])
+    if flat is None:
+        flat = np.empty(sum(math.prod(shape) for shape in shapes))
+        for p, view in zip(params, flat_views(flat, shapes)):
+            view[...] = getattr(p, attr)
+            setattr(p, attr, view)
+    return flat
+
+
 class Adam:
     """Standard Adam (b1=0.9, b2=0.999, eps=1e-8); one step per batch.
 
-    ``step`` mutates ``m``, ``v`` and every ``Param.value`` in place, one
-    block of ADAM_BLOCK elements at a time, through two scratch buffers that
-    all parameters share.  Each element goes through the same IEEE
-    operations, in the same order, as
+    The parameters' values and grads are two flat buffers: a model's arena
+    (``ModelParams.values`` / ``grads``) when the Params tile it in order,
+    else a buffer packed once here, with each Param rebound to its views.
+    ``m`` and ``v`` are per-parameter views of two more flat buffers.  A
+    ``value`` or ``grad`` rebound after construction is copied back into its
+    slot before the step.
+
+    ``step`` mutates the buffers in place, one block of ADAM_BLOCK elements
+    at a time, through two scratch rows, so a small model costs one pass of
+    14 ufunc calls.  Each element goes through the same IEEE operations, in
+    the same order, as
 
         m = b1*m + (1-b1)*g
         v = b2*v + ((1-b2)*g)*g
@@ -106,42 +147,50 @@ class Adam:
         self.lr = lr
         self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
-        self.m = [np.zeros(p.value.shape) for p in self.params]
-        self.v = [np.zeros(p.value.shape) for p in self.params]
-        largest = max((p.value.size for p in self.params), default=0)
-        self._scratch = np.empty((2, min(ADAM_BLOCK, largest)))
+        shapes = [p.value.shape for p in self.params]
+        self._values = _flat_storage(self.params, "value", shapes)
+        self._grads = _flat_storage(self.params, "grad", shapes)
+        self._slots = [(p.value, p.grad) for p in self.params]
+        n = self._values.size
+        self._m, self._v = zeros_mapped(n), zeros_mapped(n)
+        self.m = flat_views(self._m, shapes)
+        self.v = flat_views(self._v, shapes)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, n)))
 
     def step(self):
         self.t += 1
         b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if not p.value.flags.c_contiguous:  # reshape(-1) would copy
-                p.value = np.ascontiguousarray(p.value)
-            pf, mf, vf = p.value.reshape(-1), m.reshape(-1), v.reshape(-1)
-            gf = p.grad.reshape(-1)
-            for lo in range(0, pf.size, ADAM_BLOCK):
-                pb = pf[lo: lo + ADAM_BLOCK]
-                mb = mf[lo: lo + ADAM_BLOCK]
-                vb = vf[lo: lo + ADAM_BLOCK]
-                gb = gf[lo: lo + ADAM_BLOCK]
-                a = self._scratch[0, : pb.size]
-                b = self._scratch[1, : pb.size]
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1.0 - b1, out=a)
-                np.add(mb, a, out=mb)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, 1.0 - b2, out=a)
-                np.multiply(a, gb, out=a)
-                np.add(vb, a, out=vb)
-                np.divide(mb, bc1, out=a)
-                np.multiply(a, lr, out=a)
-                np.divide(vb, bc2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
-                np.subtract(pb, a, out=pb)
+        for p, (value, grad) in zip(self.params, self._slots):
+            if p.value is not value:
+                value[...] = p.value
+                p.value = value
+            if p.grad is not grad:
+                grad[...] = p.grad
+                p.grad = grad
+        pf, gf, mf, vf = self._values, self._grads, self._m, self._v
+        for lo in range(0, pf.size, ADAM_BLOCK):
+            pb = pf[lo: lo + ADAM_BLOCK]
+            mb = mf[lo: lo + ADAM_BLOCK]
+            vb = vf[lo: lo + ADAM_BLOCK]
+            gb = gf[lo: lo + ADAM_BLOCK]
+            a = self._scratch[0, : pb.size]
+            b = self._scratch[1, : pb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, 1.0 - b2, out=a)
+            np.multiply(a, gb, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(mb, bc1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(pb, a, out=pb)
 
 
 def make_batches(n: int, batch_size: int, rng: RngState) -> list[np.ndarray]:

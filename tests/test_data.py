@@ -111,6 +111,25 @@ PARSER_CASES = [
      "line 1: duplicate gene names in header", False),
     ("empty", "", "line 1: empty expression file", False),
     ("blank-only", "\n  \n", "line 1: empty expression file", False),
+    ("blank-lines-skipped", "sample_id,g1\n\ns1,1\n  \ns2,2\n", None, True),
+    ("blank-line-before-bad-row", "sample_id,g1\n\ns1,abc\n",
+     "line 3: non-numeric value 'abc' for gene 'g1'", False),
+    ("blank-lines-before-ragged-row", "sample_id,g1,g2\ns1,1,2\n\n\ns2,1\n",
+     "line 5: expected 3 fields, got 2", False),
+    ("blank-line-before-bad-header", "\nsample_id,g1,g1\ns1,1,2\n",
+     "line 2: duplicate gene names in header", False),
+]
+
+# (id, metadata file text, expected ParseError text)
+METADATA_CASES = [
+    ("blank-line-before-bad-row",
+     "sample_id,domain,ic50,response\n\ns1,lung,,2\n",
+     "line 3: response must be 0 or 1, got '2'"),
+    ("blank-lines-before-duplicate",
+     "sample_id,domain,ic50,response\ns1,lung,0.5,\n \n\ns1,skin,,1\n",
+     "line 5: duplicate sample_id 's1'"),
+    ("blank-line-before-bad-header", "\nsample_id,domain,resp\ns1,lung,1\n",
+     "line 2: metadata header must be sample_id,domain,ic50,response"),
 ]
 
 
@@ -145,11 +164,23 @@ class TestParserCases:
             assert not isinstance(got, str), got
         else:
             assert got == expected
-        if expected is None or not expected.startswith("line 1:"):
-            lines = data._read_lines(path)
+        lines = data._read_lines(path)
+        try:
             delim, genes = data._expression_header(lines)
+        except ParseError:
+            assert not fast
+        else:
             one_pass = data._parse_rows_fast(lines[1:], delim, len(genes))
             assert (one_pass is not None) == fast
+
+    @pytest.mark.parametrize(
+        "text,expected", [c[1:] for c in METADATA_CASES],
+        ids=[c[0] for c in METADATA_CASES],
+    )
+    def test_metadata_line_numbers(self, tmp_path, text, expected):
+        with pytest.raises(ParseError) as err:
+            load_metadata(write(tmp_path, "m.csv", text))
+        assert str(err.value) == expected
 
     def test_padded_and_underscore_values(self, tmp_path):
         gm = load_expression(write(

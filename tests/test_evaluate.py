@@ -5,6 +5,7 @@ import pytest
 
 from fourierdg.errors import MetricError, ParameterError, ReportError
 from fourierdg.evaluate import (
+    _midranks,
     ablate_faac,
     auroc,
     eligible_domains,
@@ -41,6 +42,43 @@ def brute_force_auroc(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def loop_midranks(x):
+    """Tie-group walk: the reference the vectorised midranks match bitwise."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=np.float64)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("x", [
+        [3.0, 1.0, 2.0],
+        [0.5, 0.2, 0.5, 0.5, 0.1, 0.2],
+        [0.7, 0.7, 0.7, 0.7],
+        [4.2],
+        [],
+        [np.nan, 1.0, np.nan, 1.0, 0.0],
+        [0.0, -0.0, 0.0, np.inf, -np.inf, np.inf],
+    ], ids=["distinct", "ties", "all-ties", "single", "empty", "nan", "zeros-infs"])
+    def test_bitwise_equal_to_loop(self, x):
+        x = np.array(x, dtype=np.float64)
+        assert _midranks(x).tobytes() == loop_midranks(x).tobytes()
+
+    def test_random_ties_and_nan(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = int(rng.integers(1, 50))
+            x = rng.integers(0, 8, n) / 7.0
+            x[rng.random(n) < 0.1] = np.nan
+            assert _midranks(x).tobytes() == loop_midranks(x).tobytes()
 
 
 class TestAuroc:
@@ -214,13 +252,15 @@ class TestLodoRun:
                 metas.append(SampleMeta(f"{domain}n{i}", domain, response=0))
         assert eligible_domains(metas, 3) == ["A", "C"]
 
-    def test_jobs_parallel_same_result(self, tiny_benchmark):
+    def test_matches_run_fold_per_domain(self, tiny_benchmark):
         gm, metas = tiny_benchmark
-        serial = lodo_run(gm, metas, TrainConfig(**TINY), min_test_per_class=3)
-        threaded = lodo_run(gm, metas, TrainConfig(**TINY), min_test_per_class=3, jobs=3)
-        assert [e.roc.auroc for e in serial.entries] == [
-            e.roc.auroc for e in threaded.entries
-        ]
+        cfg = TrainConfig(**TINY)
+        report = lodo_run(gm, metas, cfg, min_test_per_class=3, hvg=20)
+        for entry in report.entries:
+            fold = run_fold(gm, metas, entry.domain, cfg, hvg=20)
+            assert entry.roc.points == fold.roc.points
+            assert entry.roc.auroc == fold.roc.auroc
+            assert entry.n_test == fold.labels.size
 
     def test_hvg_restricts_checkpoint_genes(self, tiny_benchmark):
         gm, metas = tiny_benchmark

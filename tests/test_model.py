@@ -1,6 +1,7 @@
 """Network assembly, gradient reversal, checkpoints, and the
 reduced-model gradient audit."""
 
+import base64
 import json
 import time
 from pathlib import Path
@@ -23,7 +24,9 @@ from fourierdg.model import (
     grl_backward,
     init_params,
     load_checkpoint,
+    params_to_vector,
     save_checkpoint,
+    set_params_from_vector,
 )
 from fourierdg.tensor_core import RngState
 from fourierdg.train import Adam
@@ -69,6 +72,50 @@ class TestInitParams:
             init_params(5, 1, RngState(0))
         with pytest.raises(ParameterError):
             init_params(5, 3, RngState(0), hidden=4, d=7)
+
+
+class TestParameterArena:
+    def test_trainables_are_views_into_the_arena(self):
+        params = small_params(5)
+        offset = 0
+        for i, t in enumerate(params.trainables()):
+            n = t.value.size
+            assert t.value.base is params.values and t.grad.base is params.grads
+            t.value.reshape(-1)[-1] = i + 0.5
+            t.grad.reshape(-1)[0] = -i - 0.5
+            assert params.values[offset + n - 1] == i + 0.5
+            assert params.grads[offset] == -i - 0.5
+            offset += n
+        assert offset == params.values.size == params.grads.size
+
+    def test_copy_shares_no_storage(self):
+        params = small_params(5)
+        params.grads[:] = np.arange(params.grads.size)
+        clone = params.copy()
+        assert clone.values.tobytes() == params.values.tobytes()
+        assert clone.grads.tobytes() == params.grads.tobytes()
+        assert not np.shares_memory(clone.values, params.values)
+        assert not np.shares_memory(clone.grads, params.grads)
+        for slot in ("bn1_stats", "bn2_stats"):
+            a, b = getattr(params, slot), getattr(clone, slot)
+            assert a is not b and not np.shares_memory(a.mean, b.mean)
+        clone.w1.value[0, 0] += 1.0
+        clone.w1.grad[0, 0] += 1.0
+        assert clone.w1.value[0, 0] != params.w1.value[0, 0]
+        assert clone.w1.grad[0, 0] != params.w1.grad[0, 0]
+
+    def test_vector_round_trip(self):
+        params = small_params(5)
+        vec = np.random.default_rng(0).standard_normal(params.values.size)
+        set_params_from_vector(params, vec)
+        assert params_to_vector(params).tobytes() == vec.tobytes()
+        offset = params.w1.value.size
+        assert np.array_equal(params.b1.value, vec[offset: offset + params.b1.value.size])
+        out = params_to_vector(params)
+        out[0] += 1.0
+        assert params.w1.value[0, 0] == vec[0]
+        with pytest.raises(DimensionError):
+            set_params_from_vector(params, vec[:-1])
 
 
 class TestEncode:
@@ -317,6 +364,17 @@ class TestCheckpointFormat:
         with pytest.raises(ParameterError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,shape", [("disc_b2", (4,)), ("w1", (5, 12))])
+    def test_array_of_wrong_shape_is_parameter_error(self, tmp_path, key, shape):
+        path, doc = self._saved_doc(tmp_path)
+        doc["params"][key] = {
+            "shape": list(shape),
+            "b64": base64.b64encode(np.zeros(shape).tobytes()).decode("ascii"),
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=key):
+            load_checkpoint(path)
+
     def test_missing_field_is_parameter_error(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
         del doc["params"]["bn2_var"]
@@ -343,4 +401,6 @@ class TestCheckpointFormat:
             for i, t in enumerate(params.trainables()):
                 t.grad[...] = np.cos(np.arange(t.value.size) + i).reshape(t.value.shape)
             Adam(params.trainables(), 1e-3).step()
+            # the step ran on the model's own arena, not on a packed copy
+            assert all(t.value.base is params.values for t in params.trainables())
         assert checkpoint_arrays(loaded) == checkpoint_arrays(fresh)

@@ -48,6 +48,19 @@ class TestAffine:
         assert np.array_equal(w.grad, [[1.0, 1.0], [1.0, 1.0]])
         assert np.array_equal(b.grad, [1.0, 1.0])
 
+    def test_no_input_grad_same_param_grads(self):
+        rng = np.random.default_rng(3)
+        x, dy = rng.standard_normal((6, 5)), rng.standard_normal((6, 4))
+        w_value, b_value = rng.standard_normal((5, 4)), rng.standard_normal(4)
+        grads = []
+        for input_grad in (True, False):
+            w, b, tape = Param(w_value), Param(b_value), GradTape()
+            y = affine(x, w, b, tape, input_grad=input_grad)
+            dx = tape.backward(dy)
+            grads.append((y.tobytes(), w.grad.tobytes(), b.grad.tobytes()))
+            assert (dx is None) == (not input_grad)
+        assert grads[0] == grads[1]
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             affine(np.ones((2, 3)), Param(np.ones((2, 2))), Param(np.zeros(2)))
@@ -107,6 +120,35 @@ class TestBatchNorm:
         # momentum 0.1 toward batch mean 2, population var 1
         assert np.allclose(state.mean, [0.2])
         assert np.allclose(state.var, [0.9 * 1.0 + 0.1 * 1.0])
+
+
+def var_formula_batchnorm(x, gamma, beta, mean, var, momentum=0.1, eps=1e-5):
+    """Train-mode batch-norm through x.var: the single-pass statistics
+    must match it bitwise."""
+    mu = x.mean(axis=0)
+    batch_var = x.var(axis=0)
+    inv = 1.0 / np.sqrt(batch_var + eps)
+    xhat = (x - mu) * inv
+    y = gamma * xhat + beta
+    return (y, (1.0 - momentum) * mean + momentum * mu,
+            (1.0 - momentum) * var + momentum * batch_var)
+
+
+class TestBatchNormBitwise:
+    def test_train_mode_equals_var_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            b, m = int(rng.integers(2, 70)), int(rng.integers(1, 40))
+            scale = 10.0 ** rng.integers(-6, 7)
+            x = rng.standard_normal((b, m)) * scale + rng.standard_normal(m) * scale
+            gamma, beta = rng.uniform(0.5, 1.5, m), rng.standard_normal(m)
+            state = RunningStats(m)
+            state.mean, state.var = rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
+            expected = var_formula_batchnorm(x, gamma, beta, state.mean, state.var)
+            y = batchnorm(x, Param(gamma), Param(beta), state, "train")
+            assert y.tobytes() == expected[0].tobytes()
+            assert state.mean.tobytes() == expected[1].tobytes()
+            assert state.var.tobytes() == expected[2].tobytes()
 
 
 class TestDropout:

@@ -9,7 +9,7 @@ from fourierdg import FourierDGError, TrainingDivergedError
 from fourierdg.data import zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
-from fourierdg.model import Checkpoint, GrlConfig, checkpoint_to_json
+from fourierdg.model import Checkpoint, GrlConfig, checkpoint_to_json, init_params
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import Param, RngState
 from fourierdg.train import (
@@ -106,6 +106,36 @@ class TestAdam:
         assert not np.array_equal(c_param.value, base.T)
         assert np.array_equal(f_param.value, c_param.value)
         assert np.array_equal(rebound.value, c_param.value)
+
+    def test_value_rebound_after_construction_is_stepped(self):
+        rng = np.random.default_rng(1)
+        p = Param(rng.standard_normal((3, 5)))
+        optim = Adam([p], lr=1e-2)
+        start = rng.standard_normal((5, 3)).T  # non-contiguous, same shape
+        p.value = start
+        p.grad = rng.standard_normal((3, 5))
+        expected, m, v = textbook_adam(start, 0.0, 0.0, p.grad, 1, 1e-2)
+        optim.step()
+        assert np.array_equal(p.value, expected)
+        assert np.array_equal(optim.m[0], m) and np.array_equal(optim.v[0], v)
+        p.grad = p.grad * 0.5
+        expected, _, _ = textbook_adam(expected, m, v, p.grad, 2, 1e-2)
+        optim.step()
+        assert np.array_equal(p.value, expected)
+
+    def test_model_values_stay_in_arena(self):
+        params = init_params(6, 3, RngState(0), hidden=4, d=4, disc_hidden=3)
+        before = params.values.copy()
+        params.b1.grad = np.ones(4)  # rebound before the optimizer exists
+        Adam(params.trainables(), lr=0.1).step()
+        assert all(t.value.base is params.values for t in params.trainables())
+        moved = params.values != before
+        assert moved.sum() == 4 and np.allclose(params.b1.value, -0.1)
+
+    def test_empty_parameter_list(self):
+        optim = Adam([], lr=0.1)
+        optim.step()
+        assert optim.m == [] and optim.t == 1
 
     def test_zero_gradient_no_move(self):
         p = Param(np.array([1.0, -2.0]))
