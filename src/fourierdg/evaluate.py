@@ -48,19 +48,20 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, (labels == 1)
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties receiving the mean of their positions.
+def _group_ends(xs: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values in sorted
+    ``xs``; NaN equals nothing, so each NaN is a run of its own."""
+    last = np.ones(xs.size, dtype=bool)
+    np.not_equal(xs[1:], xs[:-1], out=last[:-1])
+    return np.flatnonzero(last)
 
-    One stable sort; a tie group starts wherever a sorted value differs
-    from its neighbour (so each NaN is its own group).
-    """
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties receiving the mean of their positions."""
     order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    new_group = np.ones(x.size, dtype=bool)
-    np.not_equal(xs[1:], xs[:-1], out=new_group[1:])
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(starts, x.size))
-    ends = starts + counts - 1
+    ends = _group_ends(x[order])
+    counts = np.diff(ends, prepend=-1)
+    starts = ends - counts + 1
     ranks = np.empty(x.size, dtype=np.float64)
     ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, counts)
     return ranks
@@ -87,20 +88,9 @@ def roc_points(scores, labels) -> RocResult:
     """
     scores, pos = _check_binary(scores, labels)
     order = np.argsort(-scores, kind="mergesort")
-    s_sorted = scores[order]
-    p_sorted = pos[order]
-    counts: list[tuple[int, int]] = [(0, 0)]
-    tp = fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(p_sorted[i: j + 1].sum())
-        fp += (j - i + 1) - int(p_sorted[i: j + 1].sum())
-        counts.append((fp, tp))
-        i = j + 1
+    ends = _group_ends(scores[order])
+    tp = np.cumsum(pos[order])[ends]
+    counts = [(0, 0), *zip((ends + 1 - tp).tolist(), tp.tolist())]
     merged = [counts[0]]
     for pt in counts[1:]:
         while len(merged) >= 2:
@@ -111,7 +101,7 @@ def roc_points(scores, labels) -> RocResult:
                 break
         merged.append(pt)
     n_pos = int(pos.sum())
-    n_neg = n - n_pos
+    n_neg = scores.size - n_pos
     points = [(f / n_neg, t / n_pos) for f, t in merged]
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
@@ -122,18 +112,17 @@ def roc_points(scores, labels) -> RocResult:
 def top2_components(features) -> tuple[np.ndarray, np.ndarray]:
     """Leading two principal directions of the sample covariance.
 
-    Power iteration with deflation (tolerance 1e-10, deterministic start
-    vector); signs are fixed so the largest-magnitude loading is positive.
+    Eigenvectors of the two largest eigenvalues (``np.linalg.eigh``); signs
+    are fixed so the largest-magnitude loading is positive.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise ParameterError("need at least 3 samples")
+    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
+        raise ParameterError("need at least 3 samples and 2 features")
     xc = x - x.mean(axis=0)
     cov = xc.T @ xc / x.shape[0]
-    v1, lam1 = _power_iteration(cov)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2, _ = _power_iteration(deflated, ortho=v1)
-    return v1, v2
+    _, vecs = np.linalg.eigh(cov)  # eigenvalues ascending
+    v1, v2 = vecs[:, -1], vecs[:, -2]
+    return tuple(-v if v[np.argmax(np.abs(v))] < 0 else v for v in (v1, v2))
 
 
 def embed_2d(features) -> np.ndarray:
@@ -142,53 +131,6 @@ def embed_2d(features) -> np.ndarray:
     v1, v2 = top2_components(x)
     xc = x - x.mean(axis=0)
     return np.column_stack([xc @ v1, xc @ v2])
-
-
-def _power_iteration(
-    mat: np.ndarray,
-    ortho: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> tuple[np.ndarray, float]:
-    d = mat.shape[0]
-    v = np.random.default_rng(0).standard_normal(d)
-    if ortho is not None:
-        v = v - (v @ ortho) * ortho
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
-        v = _fallback_direction(d, ortho)
-    else:
-        v = v / norm
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        if ortho is not None:
-            w = w - (w @ ortho) * ortho
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # numerically zero residual: any unit direction (orthogonal to
-            # the prior component) carries ~zero variance
-            v = _fallback_direction(d, ortho)
-            lam = 0.0
-            break
-        w = w / norm
-        converged = 1.0 - abs(w @ v) <= tol
-        v, lam = w, norm
-        if converged:
-            break
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
-    return v, lam
-
-
-def _fallback_direction(d: int, ortho: Optional[np.ndarray]) -> np.ndarray:
-    idx = 0 if ortho is None else int(np.argmin(np.abs(ortho)))
-    e = np.zeros(d)
-    e[idx] = 1.0
-    if ortho is not None:
-        e = e - (e @ ortho) * ortho
-    return e / np.linalg.norm(e)
 
 
 def feature_ic50_r2(features, ic50) -> float:

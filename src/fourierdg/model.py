@@ -79,9 +79,9 @@ class ModelParams:
     Every trainable lives in one flat float64 arena: ``values`` and
     ``grads`` hold the parameters back to back in ``trainables()`` order,
     and each ``Param.value`` / ``Param.grad`` is a reshaped view into them.
-    So the optimizer, ``copy`` and the gradient audit's vector packing each
-    walk two buffers instead of 14 arrays.  Write parameters in place;
-    rebinding a ``Param.value`` detaches it from the arena.
+    So the optimizer, ``copy`` and the gradient audit each walk two buffers
+    instead of 14 arrays.  Write parameters in place; rebinding a
+    ``Param.value`` detaches it from the arena.
     """
 
     # (slot, shape in named widths, initial value) in trainables() order;
@@ -351,11 +351,10 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             mean_key, var_key = _stats_keys(slot)
             _fill(running.mean, arr(mean_key), mean_key)
             _fill(running.var, arr(var_key), var_key)
-        stats = NormStats(
-            gene_names=list(doc["gene_list"]),
-            mean=np.array(_decode_array(doc["norm_mean"], version)),
-            std=np.array(_decode_array(doc["norm_std"], version)),
-        )
+        n_genes = len(params.gene_list)
+        stats = NormStats(list(params.gene_list), np.empty(n_genes), np.empty(n_genes))
+        _fill(stats.mean, _decode_array(doc["norm_mean"], version), "norm_mean")
+        _fill(stats.std, _decode_array(doc["norm_std"], version), "norm_std")
         return Checkpoint(
             params=params,
             stats=stats,
@@ -365,6 +364,8 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         )
     except KeyError as e:
         raise ParameterError(f"checkpoint is missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ParameterError(f"malformed checkpoint: {e}") from None
 
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
@@ -386,16 +387,6 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 # Gradient verification on a reduced model
 # ---------------------------------------------------------------------------
-
-def params_to_vector(params: ModelParams) -> Array:
-    return params.values.copy()
-
-
-def set_params_from_vector(params: ModelParams, vec: Array):
-    if vec.shape != params.values.shape:
-        raise DimensionError("parameter vector length mismatch")
-    params.values[...] = vec
-
 
 def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:
     """Finite-difference audit of the full training gradient.
@@ -432,12 +423,12 @@ def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:
     tapes.encoder.backward(dz)
     analytic = np.concatenate([t.grad.ravel() for t in work.trainables()])
 
-    vec0 = params_to_vector(base)
+    vec0 = base.values.copy()
     n_enc = sum(p.value.size for p in base.encoder_trainables())
 
     def losses_at(vec):
         m = base.copy()
-        set_params_from_vector(m, vec)
+        m.values[...] = vec
         z_, p_, logits_ = forward_full(x, m, None, "train", dropout_p=0.0)
         l_asy = asymmetric_loss(z_, y)[0]
         l_adv = domain_adversarial_loss(logits_, dom)[0]

@@ -34,9 +34,7 @@ from .model import (
     forward_full,
     init_params,
 )
-from .tensor_core import (
-    Param, RngState, affine, flat_views, sigmoid, zeros_mapped,
-)
+from .tensor_core import RngState, affine, sigmoid, zeros_mapped
 
 SCORE_EPS = 1e-12
 
@@ -86,52 +84,15 @@ class EpochLog:
 ADAM_BLOCK = 65_536  # elements per update block; its six streams stay in cache
 
 
-def _tiled_span(arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """The stretch of one 1-D float64 buffer that ``arrays`` tile back to
-    back in order, as a flat view; None when they do not."""
-    if not arrays:
-        return None
-    base = arrays[0].base
-    if not (isinstance(base, np.ndarray) and base.ndim == 1
-            and base.dtype == np.float64 and base.flags.c_contiguous):
-        return None
-    start = ptr = arrays[0].__array_interface__["data"][0]
-    for a in arrays:
-        if (a.base is not base or not a.flags.c_contiguous
-                or a.__array_interface__["data"][0] != ptr):
-            return None
-        ptr += a.nbytes
-    lo = (start - base.__array_interface__["data"][0]) // base.itemsize
-    return base[lo: lo + (ptr - start) // base.itemsize]
-
-
-def _flat_storage(params: Sequence[Param], attr: str, shapes) -> np.ndarray:
-    """One flat buffer holding ``getattr(p, attr)`` of every Param in order:
-    the buffer they already tile (a model's arena), else a packed copy to
-    whose views the Params are rebound."""
-    flat = _tiled_span([getattr(p, attr) for p in params])
-    if flat is None:
-        flat = np.empty(sum(math.prod(shape) for shape in shapes))
-        for p, view in zip(params, flat_views(flat, shapes)):
-            view[...] = getattr(p, attr)
-            setattr(p, attr, view)
-    return flat
-
-
 class Adam:
     """Standard Adam (b1=0.9, b2=0.999, eps=1e-8); one step per batch.
 
-    The parameters' values and grads are two flat buffers: a model's arena
-    (``ModelParams.values`` / ``grads``) when the Params tile it in order,
-    else a buffer packed once here, with each Param rebound to its views.
-    ``m`` and ``v`` are per-parameter views of two more flat buffers.  A
-    ``value`` or ``grad`` rebound after construction is copied back into its
-    slot before the step.
-
-    ``step`` mutates the buffers in place, one block of ADAM_BLOCK elements
-    at a time, through two scratch rows, so a small model costs one pass of
-    14 ufunc calls.  Each element goes through the same IEEE operations, in
-    the same order, as
+    ``values`` and ``grads`` are two flat float64 buffers of equal length,
+    a model's parameter arena (``ModelParams.values`` / ``grads``); ``m``
+    and ``v`` are two more.  ``step`` mutates them in place, one block of
+    ADAM_BLOCK elements at a time, through two scratch rows, so a small
+    model costs one pass of 14 ufunc calls.  Each element goes through the
+    same IEEE operations, in the same order, as
 
         m = b1*m + (1-b1)*g
         v = b2*v + ((1-b2)*g)*g
@@ -141,35 +102,26 @@ class Adam:
     such as lr/(1-b1**t) would change the last bits.
     """
 
-    def __init__(self, params: Sequence[Param], lr: float,
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float,
                  b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        if values.ndim != 1 or grads.shape != values.shape:
+            raise ParameterError(
+                f"Adam needs two 1-D buffers of equal length, got shapes "
+                f"{values.shape} and {grads.shape}"
+            )
+        self.values, self.grads = values, grads
         self.lr = lr
         self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
-        shapes = [p.value.shape for p in self.params]
-        self._values = _flat_storage(self.params, "value", shapes)
-        self._grads = _flat_storage(self.params, "grad", shapes)
-        self._slots = [(p.value, p.grad) for p in self.params]
-        n = self._values.size
-        self._m, self._v = zeros_mapped(n), zeros_mapped(n)
-        self.m = flat_views(self._m, shapes)
-        self.v = flat_views(self._v, shapes)
-        self._scratch = np.empty((2, min(ADAM_BLOCK, n)))
+        self.m, self.v = zeros_mapped(values.size), zeros_mapped(values.size)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, values.size)))
 
     def step(self):
         self.t += 1
         b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, (value, grad) in zip(self.params, self._slots):
-            if p.value is not value:
-                value[...] = p.value
-                p.value = value
-            if p.grad is not grad:
-                grad[...] = p.grad
-                p.grad = grad
-        pf, gf, mf, vf = self._values, self._grads, self._m, self._v
+        pf, gf, mf, vf = self.values, self.grads, self.m, self.v
         for lo in range(0, pf.size, ADAM_BLOCK):
             pb = pf[lo: lo + ADAM_BLOCK]
             mb = mf[lo: lo + ADAM_BLOCK]
@@ -253,7 +205,7 @@ def fit(
         hidden=cfg.enc_hidden, d=cfg.enc_out, disc_hidden=cfg.disc_hidden,
     )
     trainables = params.trainables()
-    optim = Adam(trainables, cfg.lr)
+    optim = Adam(params.values, params.grads, cfg.lr)
     grl = GrlConfig(cfg.grl_coefficient)
     use_faac = cfg.faac_enabled and cfg.lambda1 != 0.0
     x_all = gm.values

@@ -58,6 +58,35 @@ def loop_midranks(x):
     return ranks
 
 
+def loop_roc_points(scores, labels):
+    """Tie-group walk with an exact collinear merge: the reference the
+    vectorised ROC sweep matches bitwise."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    order = np.argsort(-scores, kind="mergesort")
+    s_sorted, p_sorted = scores[order], pos[order]
+    counts, tp, fp, i, n = [(0, 0)], 0, 0, 0, scores.size
+    while i < n:
+        j = i
+        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        tp += int(p_sorted[i: j + 1].sum())
+        fp += (j - i + 1) - int(p_sorted[i: j + 1].sum())
+        counts.append((fp, tp))
+        i = j + 1
+    merged = [counts[0]]
+    for pt in counts[1:]:
+        while len(merged) >= 2:
+            (x0, y0), (x1, y1) = merged[-2], merged[-1]
+            if (x1 - x0) * (pt[1] - y1) == (y1 - y0) * (pt[0] - x1):
+                merged.pop()
+            else:
+                break
+        merged.append(pt)
+    n_pos = int(pos.sum())
+    return [(f / (n - n_pos), t / n_pos) for f, t in merged]
+
+
 class TestMidranks:
     @pytest.mark.parametrize("x", [
         [3.0, 1.0, 2.0],
@@ -149,6 +178,17 @@ class TestRocPoints:
             roc = roc_points(scores, labels)
             assert abs(roc.auroc - auroc(scores, labels)) <= 1e-9
 
+    def test_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            labels = rng.integers(0, 2, n)
+            labels[rng.choice(n, 2, replace=False)] = [0, 1]
+            scores = rng.integers(0, 8, n) / 7.0
+            scores[rng.random(n) < 0.1] = np.nan
+            got = np.array(roc_points(scores, labels).points)
+            assert got.tobytes() == np.array(loop_roc_points(scores, labels)).tobytes()
+
     def test_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
         scores = rng.random(30)
@@ -182,6 +222,25 @@ class TestEmbed2d:
         v1, v2 = top2_components(rng.standard_normal((50, 8)))
         assert abs(float(v1 @ v2)) <= 1e-8
 
+    @pytest.mark.parametrize("x", [
+        # second and third variances nearly equal: slow for power iteration
+        np.random.default_rng(0).standard_normal((200, 6)) * [5, 3, 2.99, 1, 1, 1],
+        np.random.default_rng(0).standard_normal((42, 35)),
+    ], ids=["close-gap", "square-ish"])
+    def test_components_are_exact_eigenvectors(self, x):
+        xc = x - x.mean(axis=0)
+        cov = xc.T @ xc / x.shape[0]
+        top = np.linalg.eigvalsh(cov)[::-1][:2]
+        tol = 1e-12 * top[0]
+        v1, v2 = top2_components(x)
+        for v, lam in zip((v1, v2), top):
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            rayleigh = v @ cov @ v
+            assert np.linalg.norm(cov @ v - rayleigh * v) <= tol
+            assert abs(rayleigh - lam) <= tol
+            assert v[np.argmax(np.abs(v))] > 0
+        assert abs(v1 @ v2) <= 1e-12
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((30, 4))
@@ -190,6 +249,10 @@ class TestEmbed2d:
     def test_too_few_samples(self):
         with pytest.raises(ParameterError):
             embed_2d(np.zeros((2, 3)))
+
+    def test_one_feature_rejected(self):
+        with pytest.raises(ParameterError, match="2 features"):
+            top2_components(np.arange(5.0)[:, None])
 
 
 class TestFeatureIc50R2:

@@ -24,9 +24,7 @@ from fourierdg.model import (
     grl_backward,
     init_params,
     load_checkpoint,
-    params_to_vector,
     save_checkpoint,
-    set_params_from_vector,
 )
 from fourierdg.tensor_core import RngState
 from fourierdg.train import Adam
@@ -107,15 +105,12 @@ class TestParameterArena:
     def test_vector_round_trip(self):
         params = small_params(5)
         vec = np.random.default_rng(0).standard_normal(params.values.size)
-        set_params_from_vector(params, vec)
-        assert params_to_vector(params).tobytes() == vec.tobytes()
+        params.values[...] = vec
+        assert params.values.tobytes() == vec.tobytes()
         offset = params.w1.value.size
         assert np.array_equal(params.b1.value, vec[offset: offset + params.b1.value.size])
-        out = params_to_vector(params)
-        out[0] += 1.0
         assert params.w1.value[0, 0] == vec[0]
-        with pytest.raises(DimensionError):
-            set_params_from_vector(params, vec[:-1])
+        assert params.trainables()[-1].value.reshape(-1)[-1] == vec[-1]
 
 
 class TestEncode:
@@ -382,6 +377,34 @@ class TestCheckpointFormat:
         with pytest.raises(ParameterError, match="bn2_var"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("M", "x"),
+        ("d", None),
+        ("grl", [1]),
+        ("grl", {"coefficient": "abc"}),
+        ("params", [1]),
+        ("train_config", [1, 2, 3]),
+        ("gene_list", 5),
+    ], ids=["M-str", "d-null", "grl-list", "grl-str", "params-list", "config-list",
+            "genes-int"])
+    def test_malformed_field_is_parameter_error(self, tmp_path, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["norm_mean", "norm_std"])
+    def test_norm_stats_of_wrong_length_is_parameter_error(self, tmp_path, key):
+        path, doc = self._saved_doc(tmp_path)
+        doc[key] = {
+            "shape": [2],
+            "b64": base64.b64encode(np.ones(2).tobytes()).decode("ascii"),
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=key):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format_version": 2', ""])
     def test_not_a_checkpoint_object_is_parameter_error(self, tmp_path, text):
         path = tmp_path / "ck.json"
@@ -398,9 +421,10 @@ class TestCheckpointFormat:
         ] + [s.var for s in stats]:
             assert a.flags.writeable and a.flags.c_contiguous
         for params in (loaded.params, fresh.params):
+            before = params.w1.value.copy()
             for i, t in enumerate(params.trainables()):
                 t.grad[...] = np.cos(np.arange(t.value.size) + i).reshape(t.value.shape)
-            Adam(params.trainables(), 1e-3).step()
-            # the step ran on the model's own arena, not on a packed copy
-            assert all(t.value.base is params.values for t in params.trainables())
+            Adam(params.values, params.grads, 1e-3).step()
+            # the step on the arena moved the Params' views
+            assert (params.w1.value != before).all()
         assert checkpoint_arrays(loaded) == checkpoint_arrays(fresh)
