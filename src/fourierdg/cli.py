@@ -16,18 +16,19 @@ from dataclasses import asdict
 
 from . import evaluate, fourier, synth
 from .data import (
+    align_genes,
     binarize_ic50,
     load_expression,
     load_metadata,
     match_metadata,
-    select_hvg,
     write_expression,
     write_metadata,
+    write_table,
     zscore_fit_apply,
 )
 from .errors import FourierDGError, ParameterError, TrainingDivergedError
-from .model import Checkpoint, GrlConfig, encode, gradient_suite, load_checkpoint, save_checkpoint
-from .train import TrainConfig, config_echo, fit, predict, write_log_csv
+from .model import encode, gradient_suite, load_checkpoint, save_checkpoint
+from .train import TrainConfig, predict, train_checkpoint, write_log_csv
 
 SEED_ENV_VAR = "FOURIERDG_SEED"
 GRADCHECK_TOL = 1e-4
@@ -192,24 +193,17 @@ def _cmd_train(args) -> int:
     _print_resolved("train", args, seed=seed)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
-    gm = select_hvg(gm, k)
-    gm, stats = zscore_fit_apply(gm)
-    params, logs = fit(gm, metas, cfg)
+    ckpt, logs = train_checkpoint(gm, metas, cfg, hvg=k)
     for log in logs:
         print(
             f"epoch {log.epoch:03d} total={log.losses.total:.6f} "
             f"l_cls={log.losses.l_cls:.6f} train_auc={log.train_auc:.4f}"
         )
-    ckpt = Checkpoint(
-        params=params,
-        stats=stats,
-        grl=GrlConfig(cfg.grl_coefficient),
-        train_config=config_echo(cfg),
-        domains=sorted({m.domain for m in metas}),
-    )
     save_checkpoint(args.out_checkpoint, ckpt)
     write_log_csv(args.out_log, logs)
     if args.out_embedding is not None:
+        params = ckpt.params
+        gm, _ = zscore_fit_apply(align_genes(gm, params.gene_list), ckpt.stats)
         z = fourier.project(encode(gm.values, params, "eval"), params.basis)
         coords = evaluate.embed_2d(z)
         labels = [m.response for m in metas]
@@ -223,10 +217,7 @@ def _cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     gm = load_expression(args.expr)
     scores = predict(gm, ckpt)
-    with open(args.out_scores, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,score\n")
-        for sid, s in zip(gm.sample_ids, scores):
-            fh.write(f"{sid},{float(s)!r}\n")
+    write_table(args.out_scores, ["sample_id", "score"], zip(gm.sample_ids, scores))
     print(f"scored {len(scores)} samples -> {args.out_scores}")
     return 0
 

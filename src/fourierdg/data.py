@@ -243,12 +243,27 @@ def load_metadata(path) -> list[SampleMeta]:
 
 
 def write_metadata(path, metas: Sequence[SampleMeta], delimiter: str = ","):
+    rows = ([m.sample_id, m.domain, m.ic50, m.response] for m in metas)
+    write_table(path, META_HEADER, rows, delimiter)
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_table(path, header: Sequence[str], rows, delimiter: str = ","):
+    """Write a delimited text table, one row per item of ``rows``.
+
+    A float cell (numpy floats included) is written with ``repr``, so it
+    reads back as the same double; ``None`` is an empty cell; any other
+    value is written with ``str``.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(META_HEADER) + "\n")
-        for m in metas:
-            ic50 = "" if m.ic50 is None else repr(float(m.ic50))
-            resp = "" if m.response is None else str(m.response)
-            fh.write(delimiter.join([m.sample_id, m.domain, ic50, resp]) + "\n")
+        fh.write(delimiter.join(header) + "\n")
+        for row in rows:
+            fh.write(delimiter.join(map(_cell, row)) + "\n")
 
 
 def match_metadata(gm: GeneMatrix, metas: Sequence[SampleMeta]) -> list[SampleMeta]:

@@ -14,18 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (
-    GeneMatrix,
-    SampleMeta,
-    lodo_split,
-    match_metadata,
-    select_hvg,
-    subset_samples,
-    zscore_fit_apply,
-)
+from .data import GeneMatrix, SampleMeta, lodo_split, match_metadata, subset_samples, write_table
 from .errors import ConfigurationError, MetricError, ParameterError, ReportError
-from .model import Checkpoint, GrlConfig
-from .train import EpochLog, TrainConfig, config_echo, fit, predict
+from .model import Checkpoint
+from .train import EpochLog, TrainConfig, predict, train_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +186,10 @@ def run_fold(
     """
     metas = match_metadata(gm, metas)
     train_idx, test_idx = lodo_split(metas, held_out_domain)
-    gm_train = subset_samples(gm, train_idx)
-    gm_test = subset_samples(gm, test_idx)
-    if hvg is not None:
-        gm_train = select_hvg(gm_train, hvg)
-    gm_train, stats = zscore_fit_apply(gm_train)
-    metas_train = [metas[i] for i in train_idx]
-    params, logs = fit(gm_train, metas_train, cfg)
-    ckpt = Checkpoint(
-        params=params,
-        stats=stats,
-        grl=GrlConfig(cfg.grl_coefficient),
-        train_config=config_echo(cfg),
-        domains=sorted({m.domain for m in metas_train}),
+    ckpt, logs = train_checkpoint(
+        subset_samples(gm, train_idx), [metas[i] for i in train_idx], cfg, hvg
     )
-    scores = predict(gm_test, ckpt)
+    scores = predict(subset_samples(gm, test_idx), ckpt)
     labels = np.array([metas[i].response for i in test_idx], dtype=np.int64)
     return FoldResult(
         domain=held_out_domain,
@@ -338,35 +319,23 @@ def ablate_faac(
 # ---------------------------------------------------------------------------
 
 def write_roc_csv(path, roc: RocResult):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        for fpr, tpr in roc.points:
-            fh.write(f"{float(fpr)!r},{float(tpr)!r}\n")
+    write_table(path, ["fpr", "tpr"], roc.points)
 
 
 def write_report_csv(path, report: LodoReport):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("domain,n_test,n_pos,n_neg,auroc\n")
-        for e in report.entries:
-            fh.write(
-                f"{e.domain},{e.n_test},{e.n_pos},{e.n_neg},{float(e.roc.auroc)!r}\n"
-            )
-        total = sum(e.n_test for e in report.entries)
-        pos = sum(e.n_pos for e in report.entries)
-        neg = sum(e.n_neg for e in report.entries)
-        fh.write(f"ALL,{total},{pos},{neg},{float(report.mean_auroc)!r}\n")
+    entries = report.entries
+    rows = [[e.domain, e.n_test, e.n_pos, e.n_neg, e.roc.auroc] for e in entries]
+    rows.append(["ALL", sum(e.n_test for e in entries), sum(e.n_pos for e in entries),
+                 sum(e.n_neg for e in entries), report.mean_auroc])
+    write_table(path, ["domain", "n_test", "n_pos", "n_neg", "auroc"], rows)
 
 
 def write_ablation_csv(path, result: AblationResult):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seed,faac,domain,auroc\n")
-        for r in result.rows:
-            fh.write(f"{r.seed},{int(r.faac_on)},{r.domain},{float(r.auroc)!r}\n")
+    rows = ([r.seed, int(r.faac_on), r.domain, r.auroc] for r in result.rows)
+    write_table(path, ["seed", "faac", "domain", "auroc"], rows)
 
 
 def write_embedding_csv(path, sample_ids, coords, labels):
     coords = np.asarray(coords, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id,x,y,label\n")
-        for sid, (x, y), lab in zip(sample_ids, coords, labels):
-            fh.write(f"{sid},{float(x)!r},{float(y)!r},{lab}\n")
+    rows = ([sid, x, y, lab] for sid, (x, y), lab in zip(sample_ids, coords, labels))
+    write_table(path, ["sample_id", "x", "y", "label"], rows)

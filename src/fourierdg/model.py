@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,9 +144,6 @@ class ModelParams:
     def encoder_trainables(self) -> list[Param]:
         return self._trainables[: self.N_ENCODER]
 
-    def head_trainables(self) -> list[Param]:
-        return self._trainables[self.N_ENCODER:]
-
     def trainables(self) -> list[Param]:
         return list(self._trainables)
 
@@ -246,6 +243,43 @@ def forward_full(
     return z, p, logits
 
 
+def batch_objective(
+    x: Array,
+    response,
+    domain,
+    params: ModelParams,
+    grl: Optional[GrlConfig],
+    lambda1: float,
+    lambda2: float,
+    rng: Optional[RngState] = None,
+    dropout_p: float = 0.0,
+) -> tuple[tuple[float, float, float], Callable[[], None]]:
+    """One train-mode forward of a batch: ``((l_asy, l_adv, l_cls), backward)``.
+
+    ``backward()`` zeroes ``params.grads`` and leaves there the gradient of
+    l_adv + lambda1 * l_asy + lambda2 * l_cls, with the encoder's share of
+    l_adv passed through the reversal layer of ``grl`` (``None``: not
+    reversed).  The head gradients are merged at z.  ``lambda1 == 0``
+    skips the clustering loss, and l_asy is then 0.0.
+    """
+    tapes = ForwardTapes()
+    z, p, logits = forward_full(x, params, grl, "train", rng, dropout_p, tapes)
+    l_cls, dp = classification_loss(p, response)
+    l_adv, dlogits = domain_adversarial_loss(logits, domain)
+    l_asy, dz_asy = asymmetric_loss(z, response)[:2] if lambda1 != 0.0 else (0.0, None)
+
+    def backward():
+        for t in params.trainables():
+            t.zero_grad()
+        dz = tapes.classifier.backward(lambda2 * dp[:, None])
+        dz = dz + tapes.discriminator.backward(dlogits)
+        if dz_asy is not None:
+            dz = dz + lambda1 * dz_asy
+        tapes.encoder.backward(dz)
+
+    return (l_asy, l_adv, l_cls), backward
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -340,9 +374,19 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         def arr(key):
             return _decode_array(raw[key], version)
 
+        m_domains, d, domains = doc["M"], doc["d"], doc["domains"]
+        for key, value in (("M", m_domains), ("d", d)):
+            if type(value) is not int:  # a JSON integer: bool and float are not
+                raise ParameterError(f"checkpoint field {key!r} must be an integer")
+        if not (isinstance(domains, list) and len(domains) == m_domains
+                and all(isinstance(name, str) for name in domains)
+                and len(set(domains)) == m_domains):
+            raise ParameterError(
+                f"checkpoint field 'domains' must list {m_domains} distinct names"
+            )
         params = ModelParams(
-            doc["gene_list"], int(doc["M"]),
-            hidden=arr("b1").size, d=int(doc["d"]), disc_hidden=arr("disc_b1").size,
+            doc["gene_list"], m_domains,
+            hidden=arr("b1").size, d=d, disc_hidden=arr("disc_b1").size,
         )
         for slot, _, _ in ModelParams.TRAINABLES:
             _fill(getattr(params, slot).value, arr(slot), slot)
@@ -360,7 +404,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             stats=stats,
             grl=GrlConfig(coefficient=float(doc["grl"]["coefficient"])),
             train_config=dict(doc["train_config"]),
-            domains=list(doc["domains"]),
+            domains=list(domains),
         )
     except KeyError as e:
         raise ParameterError(f"checkpoint is missing field {e}") from None
@@ -408,20 +452,9 @@ def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:
 
     # Analytic pass: one forward/backward with the reversal in place.
     work = base.copy()
-    tapes = ForwardTapes()
-    z, p, logits = forward_full(
-        x, work, GrlConfig(coeff), "train", dropout_p=0.0, tapes=tapes
-    )
-    _, dp = classification_loss(p, y)
-    _, dlogits = domain_adversarial_loss(logits, dom)
-    _, dz_asy, _ = asymmetric_loss(z, y)
-    for t in work.trainables():
-        t.zero_grad()
-    dz = tapes.classifier.backward(lambda2 * dp[:, None])
-    dz = dz + tapes.discriminator.backward(dlogits)
-    dz = dz + lambda1 * dz_asy
-    tapes.encoder.backward(dz)
-    analytic = np.concatenate([t.grad.ravel() for t in work.trainables()])
+    _, backward = batch_objective(x, y, dom, work, GrlConfig(coeff), lambda1, lambda2)
+    backward()
+    analytic = work.grads.copy()
 
     vec0 = base.values.copy()
     n_enc = sum(p.value.size for p in base.encoder_trainables())
@@ -429,11 +462,7 @@ def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:
     def losses_at(vec):
         m = base.copy()
         m.values[...] = vec
-        z_, p_, logits_ = forward_full(x, m, None, "train", dropout_p=0.0)
-        l_asy = asymmetric_loss(z_, y)[0]
-        l_adv = domain_adversarial_loss(logits_, dom)[0]
-        l_cls = classification_loss(p_, y)[0]
-        return l_asy, l_adv, l_cls
+        return batch_objective(x, y, dom, m, None, lambda1, lambda2)[0]
 
     def f_encoder(v):
         vec = vec0.copy()

@@ -26,14 +26,6 @@ from .errors import (
 Array = np.ndarray
 
 
-def as_matrix(data, name: str = "matrix") -> Array:
-    """Coerce to a 2-D C-contiguous float64 array."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    return arr
-
-
 class Param:
     """A trainable array with an accumulated gradient.
 
@@ -87,9 +79,6 @@ class GradTape:
 
     def record(self, backward_fn: Callable[[Array], Array]):
         self._records.append(backward_fn)
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def backward(self, upstream: Array) -> Array:
         """Propagate ``upstream`` back through the chain; returns dInput."""

@@ -16,24 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fourier
-from .data import GeneMatrix, SampleMeta, align_genes, zscore_fit_apply
+from .data import GeneMatrix, SampleMeta, align_genes, select_hvg, write_table, zscore_fit_apply
 from .errors import ConfigurationError, ParameterError, TrainingDivergedError
-from .losses import (
-    LossBreakdown,
-    asymmetric_loss,
-    classification_loss,
-    domain_adversarial_loss,
-    total_loss,
-)
-from .model import (
-    Checkpoint,
-    ForwardTapes,
-    GrlConfig,
-    ModelParams,
-    encode,
-    forward_full,
-    init_params,
-)
+from .losses import LossBreakdown, total_loss
+from .model import Checkpoint, GrlConfig, ModelParams, batch_objective, encode, init_params
 from .tensor_core import RngState, affine, sigmoid, zeros_mapped
 
 SCORE_EPS = 1e-12
@@ -204,10 +190,9 @@ def fit(
         gm.gene_names, len(domain_names), rng,
         hidden=cfg.enc_hidden, d=cfg.enc_out, disc_hidden=cfg.disc_hidden,
     )
-    trainables = params.trainables()
     optim = Adam(params.values, params.grads, cfg.lr)
     grl = GrlConfig(cfg.grl_coefficient)
-    use_faac = cfg.faac_enabled and cfg.lambda1 != 0.0
+    lambda1 = cfg.lambda1 if cfg.faac_enabled else 0.0
     x_all = gm.values
 
     logs: list[EpochLog] = []
@@ -218,34 +203,20 @@ def fit(
             batches = make_batches(n, cfg.batch_size, rng)
             sums = np.zeros(3)
             for batch_index, idx in enumerate(batches):
-                xb = x_all[idx]
-                yb = responses[idx]
-                db = domains[idx]
-                tapes = ForwardTapes()
-                z, p, logits = forward_full(
-                    xb, params, grl, "train", rng, cfg.dropout_p, tapes
+                terms, backward = batch_objective(
+                    x_all[idx], responses[idx], domains[idx], params, grl,
+                    lambda1, cfg.lambda2, rng, cfg.dropout_p,
                 )
-                l_cls, dp = classification_loss(p, yb)
-                l_adv, dlogits = domain_adversarial_loss(logits, db)
-                if use_faac:
-                    l_asy, dz_asy, _ = asymmetric_loss(z, yb)
-                else:
-                    l_asy, dz_asy = 0.0, None
-                for name, value in (("l_asy", l_asy), ("l_adv", l_adv), ("l_cls", l_cls)):
+                for name, value in zip(("l_asy", "l_adv", "l_cls"), terms):
                     if not math.isfinite(value):
                         raise TrainingDivergedError(
                             f"training diverged at epoch {epoch}, batch index "
                             f"{batch_index}: {name} = {value}"
                         )
-                for t in trainables:
-                    t.zero_grad()
-                dz = tapes.classifier.backward(cfg.lambda2 * dp[:, None])
-                dz = dz + tapes.discriminator.backward(dlogits)
-                if use_faac:
-                    dz = dz + cfg.lambda1 * dz_asy
-                tapes.encoder.backward(dz)
+                backward()
                 optim.step()
-                sums += (l_asy, l_adv, l_cls)
+                del backward  # its tapes hold the batch's activations
+                sums += terms
             means = sums / len(batches)
             breakdown = total_loss(means[0], means[1], means[2], cfg.lambda1, cfg.lambda2)
             train_auc = auroc(_score(x_all, params), responses)
@@ -257,6 +228,32 @@ def fit(
     return params, logs
 
 
+def train_checkpoint(
+    gm: GeneMatrix,
+    metas: Sequence[SampleMeta],
+    cfg: TrainConfig,
+    hvg: Optional[int] = None,
+) -> tuple[Checkpoint, list[EpochLog]]:
+    """Fit preprocessing and the model on raw, row-aligned training data.
+
+    Keeps the ``hvg`` most variable genes (all when ``None``), standardizes
+    them with statistics fit here, trains, and returns the checkpoint that
+    :func:`predict` scores new samples with, plus the epoch logs.
+    """
+    if hvg is not None:
+        gm = select_hvg(gm, hvg)
+    gm, stats = zscore_fit_apply(gm)
+    params, logs = fit(gm, metas, cfg)
+    ckpt = Checkpoint(
+        params=params,
+        stats=stats,
+        grl=GrlConfig(cfg.grl_coefficient),
+        train_config=asdict(cfg),
+        domains=sorted({m.domain for m in metas}),
+    )
+    return ckpt, logs
+
+
 def predict(gm: GeneMatrix, ckpt: Checkpoint) -> np.ndarray:
     """Score new samples: align genes, apply stored standardization, run
     the eval-mode forward pass, return P(sensitive) per sample."""
@@ -266,25 +263,9 @@ def predict(gm: GeneMatrix, ckpt: Checkpoint) -> np.ndarray:
 
 
 def write_log_csv(path, logs: Sequence[EpochLog]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,l_asy,l_adv,l_cls,total,train_auc,val_auc\n")
-        for log in logs:
-            val = "" if log.val_auc is None else repr(float(log.val_auc))
-            fh.write(
-                ",".join(
-                    [
-                        str(log.epoch),
-                        repr(float(log.losses.l_asy)),
-                        repr(float(log.losses.l_adv)),
-                        repr(float(log.losses.l_cls)),
-                        repr(float(log.losses.total)),
-                        repr(float(log.train_auc)),
-                        val,
-                    ]
-                )
-                + "\n"
-            )
-
-
-def config_echo(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
+    write_table(
+        path,
+        ["epoch", "l_asy", "l_adv", "l_cls", "total", "train_auc", "val_auc"],
+        ([log.epoch, log.losses.l_asy, log.losses.l_adv, log.losses.l_cls,
+          log.losses.total, log.train_auc, log.val_auc] for log in logs),
+    )

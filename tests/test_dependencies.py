@@ -35,3 +35,70 @@ def test_imports_are_stdlib_numpy_or_relative(path):
 def test_guard_flags_a_third_party_import():
     tree = ast.parse("import numpy as np\nfrom scipy import linalg\nfrom . import data\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["scipy"]
+
+
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Names bound by an import in ``tree`` that ``tree`` never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def unreferenced_definitions(trees: dict, exported: set) -> list[str]:
+    """Module-level functions and classes that no module of ``trees`` reads,
+    imports or reaches as an attribute, and that are not ``exported``."""
+    referenced = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in referenced
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = unused_imports(parse(path))
+    assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_guard_flags_an_unused_import():
+    tree = ast.parse("import os\nimport numpy as np\nfrom .data import a, b\nnp.zeros(a)\n")
+    assert unused_imports(tree) == ["b", "os"]
+
+
+def test_every_definition_is_referenced_or_exported():
+    import fourierdg
+
+    trees = {p.stem: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(trees, set(fourierdg.__all__)) == []
+
+
+def test_guard_flags_an_unreferenced_definition():
+    trees = {
+        "a": ast.parse("def used(): pass\ndef dead(): pass\nclass Kept: pass\n"),
+        "b": ast.parse("from .a import used\nused()\n"),
+    }
+    assert unreferenced_definitions(trees, {"Kept"}) == ["a.dead"]

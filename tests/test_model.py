@@ -12,11 +12,12 @@ import pytest
 from fourierdg import fourier
 from fourierdg.data import NormStats
 from fourierdg.errors import DimensionError, ParameterError
-from fourierdg.losses import domain_adversarial_loss
+from fourierdg.losses import asymmetric_loss, classification_loss, domain_adversarial_loss
 from fourierdg.model import (
     Checkpoint,
     ForwardTapes,
     GrlConfig,
+    batch_objective,
     checkpoint_to_json,
     encode,
     forward_full,
@@ -26,7 +27,7 @@ from fourierdg.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from fourierdg.tensor_core import RngState
+from fourierdg.tensor_core import RngState, grad_check
 from fourierdg.train import Adam
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -228,6 +229,48 @@ class TestGradientSuite:
         assert elapsed < 10.0
 
 
+def objective_terms(params, x, y, dom):
+    """(l_asy, l_adv, l_cls) of a train-mode forward without dropout."""
+    z, p, logits = forward_full(x, params, None, "train", dropout_p=0.0)
+    return (asymmetric_loss(z, y)[0], domain_adversarial_loss(logits, dom)[0],
+            classification_loss(p, y)[0])
+
+
+class TestBatchObjective:
+    Y = np.array([1, 1, 1, 0, 0, 0])
+    DOM = np.array([0, 1, 2, 0, 1, 2])
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.7, 1.3), (0.0, 1.0), (1.0, 0.0)])
+    def test_backward_is_gradient_of_weighted_sum(self, lambda1, lambda2):
+        base = small_params(6)
+        x = RngState(6).normal((6, 12))
+        work = base.copy()
+        work.grads[...] = 7.0  # backward must zero what a previous batch left
+        terms, backward = batch_objective(x, self.Y, self.DOM, work, None, lambda1, lambda2)
+        l_asy, l_adv, l_cls = objective_terms(base, x, self.Y, self.DOM)
+        assert terms == (l_asy if lambda1 else 0.0, l_adv, l_cls)
+        backward()
+
+        def f(vec):
+            m = base.copy()
+            m.values[...] = vec
+            l_asy, l_adv, l_cls = objective_terms(m, x, self.Y, self.DOM)
+            return l_adv + lambda1 * l_asy + lambda2 * l_cls, work.grads
+
+        assert grad_check(f, base.values.copy()) < 1e-4
+
+    def test_zero_lambda1_never_calls_asymmetric_loss(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("asymmetric_loss called with lambda1 = 0")
+
+        monkeypatch.setattr("fourierdg.model.asymmetric_loss", fail)
+        params = small_params(7)
+        x = RngState(7).normal((6, 12))
+        terms, backward = batch_objective(x, self.Y, self.DOM, params, GrlConfig(), 0.0, 1.0)
+        backward()
+        assert terms[0] == 0.0 and np.isfinite(params.grads).all()
+
+
 class TestCheckpoint:
     def _make(self):
         params = small_params(9, genes=5)
@@ -385,8 +428,15 @@ class TestCheckpointFormat:
         ("params", [1]),
         ("train_config", [1, 2, 3]),
         ("gene_list", 5),
+        ("M", 3.7),
+        ("d", 8.9),
+        ("domains", ["only"]),
+        ("domains", [1, 2, None]),
+        ("domains", ["A", "A", "B"]),
+        ("domains", "ABC"),
     ], ids=["M-str", "d-null", "grl-list", "grl-str", "params-list", "config-list",
-            "genes-int"])
+            "genes-int", "M-float", "d-float", "domains-short",
+            "domains-not-str", "domains-repeated", "domains-str"])
     def test_malformed_field_is_parameter_error(self, tmp_path, key, value):
         path, doc = self._saved_doc(tmp_path)
         doc[key] = value

@@ -1,25 +1,26 @@
 """Training loop behavior: batching, optimization, determinism, logging."""
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fourierdg import FourierDGError, TrainingDivergedError
-from fourierdg.data import zscore_fit_apply
+from fourierdg.data import select_hvg, zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
-from fourierdg.model import Checkpoint, GrlConfig, checkpoint_to_json, init_params
+from fourierdg.model import checkpoint_to_json, init_params
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import RngState
 from fourierdg.train import (
     ADAM_BLOCK,
     Adam,
     TrainConfig,
-    config_echo,
     fit,
     make_batches,
     predict,
+    train_checkpoint,
     write_log_csv,
 )
 
@@ -29,19 +30,14 @@ TINY = dict(
 )
 
 
-def tiny_data(seed=9, domains=3, genes=40, per_domain=30):
-    gm, metas = generate(
-        SynthConfig(domains=domains, genes=genes, per_domain=per_domain, seed=seed)
-    )
-    gm, stats = zscore_fit_apply(gm)
-    return gm, metas, stats
+def tiny_raw():
+    return generate(SynthConfig(domains=3, genes=40, per_domain=30, seed=9))
 
 
-def make_checkpoint(params, stats, cfg, metas):
-    return Checkpoint(
-        params, stats, GrlConfig(cfg.grl_coefficient), config_echo(cfg),
-        sorted({m.domain for m in metas}),
-    )
+def tiny_data():
+    gm, metas = tiny_raw()
+    gm, _ = zscore_fit_apply(gm)
+    return gm, metas
 
 
 class TestMakeBatches:
@@ -149,12 +145,11 @@ class TestTrainConfig:
 
 class TestFit:
     def test_determinism_bitwise(self):
-        gm, metas, stats = tiny_data()
+        raw, metas = tiny_raw()
         cfg = TrainConfig(**TINY)
         runs = []
         for _ in range(2):
-            params, logs = fit(gm, metas, cfg)
-            ckpt = make_checkpoint(params, stats, cfg, metas)
+            ckpt, logs = train_checkpoint(raw, metas, cfg)
             runs.append(
                 (checkpoint_to_json(ckpt),
                  [(l.losses.total, l.train_auc) for l in logs])
@@ -163,7 +158,7 @@ class TestFit:
 
     def test_ablation_switch_equivalence(self):
         # --no-faac and lambda1=0 must produce identical trajectories
-        gm, metas, stats = tiny_data()
+        gm, metas = tiny_data()
         cfg_off = TrainConfig(**{**TINY, "faac_enabled": False})
         cfg_zero = TrainConfig(**{**TINY, "lambda1": 0.0})
         params_off, logs_off = fit(gm, metas, cfg_off)
@@ -173,14 +168,23 @@ class TestFit:
         for a, b in zip(params_off.trainables(), params_zero.trainables()):
             assert np.array_equal(a.value, b.value)
 
+    def test_no_faac_never_calls_asymmetric_loss(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("asymmetric_loss called with faac off")
+
+        monkeypatch.setattr("fourierdg.model.asymmetric_loss", fail)
+        gm, metas = tiny_data()
+        _, logs = fit(gm, metas, TrainConfig(**{**TINY, "faac_enabled": False}))
+        assert all(log.losses.l_asy == 0.0 for log in logs)
+
     def test_faac_toggle_changes_training(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         params_on, _ = fit(gm, metas, TrainConfig(**TINY))
         params_off, _ = fit(gm, metas, TrainConfig(**{**TINY, "faac_enabled": False}))
         assert not np.array_equal(params_on.w1.value, params_off.w1.value)
 
     def test_all_weights_zero_only_adversary_learns(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         cfg = TrainConfig(
             **{**TINY, "lambda1": 0.0, "lambda2": 0.0, "grl_coefficient": 0.0}
         )
@@ -202,7 +206,7 @@ class TestFit:
         assert not np.array_equal(params.bn1_stats.mean, np.zeros_like(params.bn1_stats.mean))
 
     def test_divergence_raises_typed_error(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         cfg = TrainConfig(**{**TINY, "lr": 1e300})
         with np.errstate(all="ignore"), pytest.raises(
             TrainingDivergedError,
@@ -212,7 +216,7 @@ class TestFit:
         assert isinstance(info.value, FourierDGError)
 
     def test_divergence_raises_before_any_warning(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         cfg = TrainConfig(**{**TINY, "lr": 1e300})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -220,7 +224,7 @@ class TestFit:
                 fit(gm, metas, cfg)
 
     def test_single_domain_rejected(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         solo = [m for m in metas if m.domain == "D0"]
         from fourierdg.data import subset_samples
 
@@ -229,17 +233,34 @@ class TestFit:
             fit(subset_samples(gm, idx), solo, TrainConfig(**TINY))
 
     def test_misaligned_metas_rejected(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         with pytest.raises(ConfigurationError):
             fit(gm, list(reversed(metas)), TrainConfig(**TINY))
 
     def test_validation_auc_logged(self):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         labels = [m.response for m in metas]
         _, logs = fit(gm, metas, TrainConfig(**TINY), validation=(gm, labels))
         assert all(log.val_auc is not None for log in logs)
         _, logs = fit(gm, metas, TrainConfig(**TINY))
         assert all(log.val_auc is None for log in logs)
+
+
+class TestTrainCheckpoint:
+    def test_is_hvg_zscore_fit(self):
+        raw, metas = tiny_raw()
+        cfg = TrainConfig(**TINY)
+        ckpt, logs = train_checkpoint(raw, metas, cfg, hvg=10)
+        std, stats = zscore_fit_apply(select_hvg(raw, 10))
+        params, ref_logs = fit(std, metas, cfg)
+        assert ckpt.params.gene_list == std.gene_names
+        assert np.array_equal(ckpt.params.values, params.values)
+        assert np.array_equal(ckpt.stats.mean, stats.mean)
+        assert np.array_equal(ckpt.stats.std, stats.std)
+        assert [l.losses for l in logs] == [l.losses for l in ref_logs]
+        assert ckpt.train_config == asdict(cfg)
+        assert ckpt.grl.coefficient == cfg.grl_coefficient
+        assert ckpt.domains == ["D0", "D1", "D2"]
 
 
 class TestConvergenceOnDefaultBenchmark:
@@ -253,48 +274,42 @@ class TestConvergenceOnDefaultBenchmark:
     @pytest.fixture(scope="class")
     @staticmethod
     def converged():
-        gm, metas = generate(SynthConfig())
-        gm, stats = zscore_fit_apply(gm)
+        raw, metas = generate(SynthConfig())
         cfg = TrainConfig(
             lr=1e-3, batch_size=64, epochs=50, seed=2,
             enc_hidden=128, enc_out=64, disc_hidden=32,
         )
-        params, logs = fit(gm, metas, cfg)
-        return gm, metas, stats, cfg, params, logs
+        ckpt, logs = train_checkpoint(raw, metas, cfg)
+        return raw, metas, ckpt, logs
 
     def test_final_train_auroc(self, converged):
-        _, _, _, _, _, logs = converged
+        _, _, _, logs = converged
         assert logs[-1].train_auc > 0.95
 
     def test_l_cls_trend_non_increasing(self, converged):
         # trend assertion, not strict monotonicity: tiny upticks near the
         # converged floor are tolerated (observed max +0.0023)
-        _, _, _, _, _, logs = converged
+        _, _, _, logs = converged
         l_cls = np.array([log.losses.l_cls for log in logs])
         smoothed = np.convolve(l_cls, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(smoothed) <= 0.01)
         assert smoothed[-1] < 0.5 * smoothed[0]
 
     def test_predict_on_training_samples(self, converged):
-        gm, metas, stats, cfg, params, _ = converged
-        ckpt = make_checkpoint(params, stats, cfg, metas)
-        raw, _ = generate(SynthConfig())
+        raw, metas, ckpt, _ = converged
         scores = predict(raw, ckpt)
         labels = np.array([m.response for m in metas])
         assert auroc(scores, labels) > 0.95
 
     def test_predict_range_and_determinism(self, converged):
-        gm, metas, stats, cfg, params, _ = converged
-        ckpt = make_checkpoint(params, stats, cfg, metas)
-        raw, _ = generate(SynthConfig())
+        raw, _, ckpt, _ = converged
         a = predict(raw, ckpt)
         b = predict(raw, ckpt)
         assert np.array_equal(a, b)
         assert np.all((a > 0) & (a < 1))
 
     def test_predict_unalignable_genes(self, converged):
-        gm, metas, stats, cfg, params, _ = converged
-        ckpt = make_checkpoint(params, stats, cfg, metas)
+        _, _, ckpt, _ = converged
         from fourierdg.data import GeneMatrix
         from fourierdg.errors import AlignmentError
 
@@ -305,7 +320,7 @@ class TestConvergenceOnDefaultBenchmark:
 
 class TestLogCsv:
     def test_columns_and_blank_validation(self, tmp_path):
-        gm, metas, _ = tiny_data()
+        gm, metas = tiny_data()
         _, logs = fit(gm, metas, TrainConfig(**TINY))
         path = tmp_path / "log.csv"
         write_log_csv(path, logs)
