@@ -33,6 +33,21 @@ from .train import TrainConfig, predict, train_checkpoint, write_log_csv
 SEED_ENV_VAR = "FOURIERDG_SEED"
 GRADCHECK_TOL = 1e-4
 
+# (flag, TrainConfig field) for every training option but the seed, which
+# --seed resolves; defaults and types come from TrainConfig().
+TRAIN_FLAGS = (
+    ("--lambda1", "lambda1"),
+    ("--lambda2", "lambda2"),
+    ("--lr", "lr"),
+    ("--batch", "batch_size"),
+    ("--epochs", "epochs"),
+    ("--grl", "grl_coefficient"),
+    ("--dropout", "dropout_p"),
+    ("--enc-hidden", "enc_hidden"),
+    ("--enc-out", "enc_out"),
+    ("--disc-hidden", "disc_hidden"),
+)
+
 
 class CliUsageError(Exception):
     """Flag-level problem detected while parsing argv."""
@@ -43,16 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _print_resolved(command: str, args: argparse.Namespace, **extra):
     fields = {k: v for k, v in vars(args).items() if k != "command"}
     fields.update(extra)
-    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fields.items()))
+    pairs = " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
     print(f"config: command={command} {pairs}")
 
 
@@ -70,18 +79,11 @@ def _resolve_seed(value) -> int:
 
 def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--hvg", type=int, default=3000)
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=8e-5)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-faac", action="store_true")
-    p.add_argument("--grl", type=float, default=1.0)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--enc-hidden", type=int, default=1024)
-    p.add_argument("--enc-out", type=int, default=740)
-    p.add_argument("--disc-hidden", type=int, default=256)
+    defaults = TrainConfig()
+    for flag, field in TRAIN_FLAGS:
+        default = getattr(defaults, field)
+        p.add_argument(flag, type=type(default), default=default)
 
 
 def build_parser() -> _Parser:
@@ -131,20 +133,10 @@ def build_parser() -> _Parser:
 
 
 def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
-    cfg = TrainConfig(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        lr=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        seed=seed,
-        faac_enabled=not args.no_faac,
-        grl_coefficient=args.grl,
-        dropout_p=args.dropout,
-        enc_hidden=args.enc_hidden,
-        enc_out=args.enc_out,
-        disc_hidden=args.disc_hidden,
-    )
+    # argparse's dest for --enc-hidden is enc_hidden
+    fields = {field: getattr(args, flag[2:].replace("-", "_"))
+              for flag, field in TRAIN_FLAGS}
+    cfg = TrainConfig(seed=seed, **fields)
     cfg.validate()
     return cfg
 
@@ -166,15 +158,33 @@ def _effective_hvg(requested: int, gene_count: int) -> int:
     return requested
 
 
+def _read_synth_config(path) -> dict:
+    """Generator fields from a JSON object; each value must have the type
+    of its ``SynthConfig`` default (an integer may stand for a float)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fields = json.load(fh)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ParameterError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(fields, dict):
+        raise ParameterError(f"{path}: generator config must be a JSON object")
+    defaults = asdict(synth.SynthConfig())
+    unknown = sorted(set(fields) - set(defaults))
+    if unknown:
+        raise ParameterError(f"unknown generator fields: {', '.join(unknown)}")
+    for name, value in fields.items():
+        want = type(defaults[name])
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise ParameterError(
+                f"generator field {name!r} must be {want.__name__}, got {value!r}"
+            )
+    return fields
+
+
 def _cmd_synth(args) -> int:
     fields = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            fields = json.load(fh)
-        legal = set(asdict(synth.SynthConfig()).keys())
-        unknown = sorted(set(fields) - legal)
-        if unknown:
-            raise ParameterError(f"unknown generator fields: {', '.join(unknown)}")
+        fields = _read_synth_config(args.config)
     if args.seed is not None or "seed" not in fields:
         fields["seed"] = _resolve_seed(args.seed)
     cfg = synth.SynthConfig(**fields)
@@ -225,10 +235,6 @@ def _cmd_predict(args) -> int:
 def _cmd_lodo(args) -> int:
     seed = _resolve_seed(args.seed)
     cfg = _train_config(args, seed)
-    if args.min_test_per_class < 1:
-        raise ParameterError(
-            f"min-test-per-class must be >= 1, got {args.min_test_per_class}"
-        )
     _print_resolved("lodo", args, seed=seed)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))

@@ -1,8 +1,8 @@
 """Metrics and experiment harnesses.
 
 AUROC uses the Mann-Whitney rank statistic with midranks for ties; the
-ROC sweep is built from integer tie-group counts so its trapezoidal area
-reproduces the rank statistic exactly.  The leave-one-domain-out harness
+ROC sweep is built from integer tie-group counts and reports that same
+statistic as its area.  The leave-one-domain-out harness
 refits preprocessing inside every fold, so held-out samples can never
 touch normalization statistics or training.
 """
@@ -35,6 +35,8 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise MetricError("scores and labels must have equal length")
+    if not np.isfinite(scores).all():
+        raise MetricError("scores must be finite")
     if not ((labels == 1).any() and (labels != 1).any()):
         raise MetricError("AUROC needs both classes present")
     return scores, (labels == 1)
@@ -76,7 +78,7 @@ def roc_points(scores, labels) -> RocResult:
 
     Consecutive collinear points are merged (exactly, on the integer
     tie-group counts), so e.g. a perfectly separating score list yields
-    the three corners (0,0), (0,1), (1,1).
+    the three corners (0,0), (0,1), (1,1).  The area is :func:`auroc`.
     """
     scores, pos = _check_binary(scores, labels)
     order = np.argsort(-scores, kind="mergesort")
@@ -95,10 +97,7 @@ def roc_points(scores, labels) -> RocResult:
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos
     points = [(f / n_neg, t / n_pos) for f, t in merged]
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return RocResult(auroc=area, points=points)
+    return RocResult(auroc=auroc(scores, labels), points=points)
 
 
 def top2_components(features) -> tuple[np.ndarray, np.ndarray]:
@@ -224,6 +223,8 @@ def lodo_run(
     hvg: Optional[int] = None,
 ) -> LodoReport:
     """Hold out each eligible domain in turn; report per-domain ROC."""
+    if min_test_per_class < 1:
+        raise ParameterError(f"min_test_per_class must be >= 1, got {min_test_per_class}")
     metas = match_metadata(gm, metas)
     if any(m.response is None for m in metas):
         raise ConfigurationError(
@@ -280,38 +281,27 @@ def ablate_faac(
     min_test_per_class: int = 3,
     hvg: Optional[int] = None,
 ) -> AblationResult:
-    """Run the LODO harness with the clustering constraint on and off for
-    each seed and compare mean held-out AUROC."""
+    """Run the LODO harness with the clustering constraint on and off
+    (``lambda1 = 0``) for each seed and compare mean held-out AUROC."""
     if len(seeds) < 2:
         raise ParameterError("ablation needs at least 2 seeds")
     rows: list[AblationRow] = []
     for seed in seeds:
         for faac_on in (True, False):
-            run_cfg = replace(cfg, seed=seed, faac_enabled=faac_on)
+            run_cfg = replace(cfg, seed=seed, lambda1=cfg.lambda1 if faac_on else 0.0)
             report = lodo_run(gm, metas, run_cfg, min_test_per_class, hvg)
             rows.extend(
                 AblationRow(seed, faac_on, e.domain, e.roc.auroc)
                 for e in report.entries
             )
-    on = [r.auroc for r in rows if r.faac_on]
-    off = [r.auroc for r in rows if not r.faac_on]
-    domains = sorted({r.domain for r in rows})
-    per_domain = {
-        d: float(
-            np.mean([r.auroc for r in rows if r.faac_on and r.domain == d])
-            - np.mean([r.auroc for r in rows if not r.faac_on and r.domain == d])
-        )
-        for d in domains
-    }
-    mean_on = float(np.mean(on))
-    mean_off = float(np.mean(off))
-    return AblationResult(
-        rows=rows,
-        mean_on=mean_on,
-        mean_off=mean_off,
-        delta=mean_on - mean_off,
-        per_domain_delta=per_domain,
-    )
+
+    def mean(faac_on, domain=None):
+        return float(np.mean([r.auroc for r in rows if r.faac_on == faac_on
+                              and domain in (None, r.domain)]))
+
+    mean_on, mean_off = mean(True), mean(False)
+    per_domain = {d: mean(True, d) - mean(False, d) for d in sorted({r.domain for r in rows})}
+    return AblationResult(rows, mean_on, mean_off, mean_on - mean_off, per_domain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Full network: encoder, frequency projection, response classifier, and
 adversarial domain discriminator joined by a gradient reversal layer.
 
-The encoder is two Linear -> BatchNorm -> ReLU -> Dropout blocks (default
-widths 1024 and 740); its output is projected onto the fixed real-Fourier
-basis, and both heads consume the projected features.  The reversal layer
-is the identity in the forward pass and negates (and scales) the gradient
-flowing from the domain discriminator back into the encoder.
+The encoder is two Linear -> BatchNorm -> ReLU -> Dropout blocks (widths
+1024 and 740 in the reference ``TrainConfig``); its output is projected
+onto the fixed real-Fourier basis, and both heads consume the projected
+features.  The reversal layer is the identity in the forward pass and
+negates (and scales) the gradient flowing from the domain discriminator
+back into the encoder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import fourier
 from .data import NormStats
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, TapeError
 from .losses import asymmetric_loss, classification_loss, domain_adversarial_loss
 from .tensor_core import (
     Array,
@@ -46,7 +47,7 @@ CHECKPOINT_FORMAT_VERSION = 2
 class GrlConfig:
     """Gradient reversal strength; forward is always the identity."""
 
-    coefficient: float = 1.0
+    coefficient: float
 
     def __post_init__(self):
         if not np.isfinite(self.coefficient) or self.coefficient < 0:
@@ -162,9 +163,9 @@ def init_params(
     genes: Union[int, Sequence[str]],
     m_domains: int,
     rng: RngState,
-    hidden: int = 1024,
-    d: int = 740,
-    disc_hidden: int = 256,
+    hidden: int,
+    d: int,
+    disc_hidden: int,
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases, identity batch-norm state."""
     if isinstance(genes, int):
@@ -189,7 +190,7 @@ def encode(
     params: ModelParams,
     mode: str,
     rng: Optional[RngState] = None,
-    dropout_p: float = 0.1,
+    dropout_p: float = 0.0,
     tape: Optional[GradTape] = None,
 ) -> Array:
     """Two-block feature extractor; output width params.d."""
@@ -216,7 +217,7 @@ def forward_full(
     grl: Optional[GrlConfig],
     mode: str,
     rng: Optional[RngState] = None,
-    dropout_p: float = 0.1,
+    dropout_p: float = 0.0,
     tapes: Optional[ForwardTapes] = None,
 ) -> tuple[Array, Array, Array]:
     """Run the whole network.
@@ -260,7 +261,8 @@ def batch_objective(
     l_adv + lambda1 * l_asy + lambda2 * l_cls, with the encoder's share of
     l_adv passed through the reversal layer of ``grl`` (``None``: not
     reversed).  The head gradients are merged at z.  ``lambda1 == 0``
-    skips the clustering loss, and l_asy is then 0.0.
+    skips the clustering loss, and l_asy is then 0.0.  Like a tape,
+    ``backward`` runs once and then drops the batch's tapes and gradients.
     """
     tapes = ForwardTapes()
     z, p, logits = forward_full(x, params, grl, "train", rng, dropout_p, tapes)
@@ -269,6 +271,9 @@ def batch_objective(
     l_asy, dz_asy = asymmetric_loss(z, response)[:2] if lambda1 != 0.0 else (0.0, None)
 
     def backward():
+        nonlocal tapes, dp, dlogits, dz_asy
+        if tapes is None:
+            raise TapeError("batch already back-propagated; one backward per forward")
         for t in params.trainables():
             t.zero_grad()
         dz = tapes.classifier.backward(lambda2 * dp[:, None])
@@ -276,6 +281,7 @@ def batch_objective(
         if dz_asy is not None:
             dz = dz + lambda1 * dz_asy
         tapes.encoder.backward(dz)
+        tapes = dp = dlogits = dz_asy = None
 
     return (l_asy, l_adv, l_cls), backward
 
@@ -432,7 +438,7 @@ def load_checkpoint(path) -> Checkpoint:
 # Gradient verification on a reduced model
 # ---------------------------------------------------------------------------
 
-def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:
+def gradient_suite(seed: int = 0) -> float:
     """Finite-difference audit of the full training gradient.
 
     Builds a reduced model (12 genes -> 10 hidden -> 8 frequency dims,
@@ -476,6 +482,6 @@ def gradient_suite(seed: int = 0, h: float = 1e-5) -> float:
         l_asy, l_adv, l_cls = losses_at(vec)
         return l_adv + lambda1 * l_asy + lambda2 * l_cls, analytic[n_enc:]
 
-    err_enc = grad_check(f_encoder, vec0[:n_enc], h)
-    err_head = grad_check(f_heads, vec0[n_enc:], h)
+    err_enc = grad_check(f_encoder, vec0[:n_enc])
+    err_head = grad_check(f_heads, vec0[n_enc:])
     return max(err_enc, err_head)

@@ -25,6 +25,9 @@ from .errors import (
 
 Array = np.ndarray
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
+BN_EPS = 1e-5
+
 
 class Param:
     """A trainable array with an accumulated gradient.
@@ -70,23 +73,23 @@ class GradTape:
     """Ordered record of primitive applications.
 
     ``backward`` visits the records in exact reverse order of the forward
-    calls and may be invoked once per tape.
+    calls and may be invoked once per tape; it then drops the records, and
+    with them the activations they hold.
     """
 
     def __init__(self):
-        self._records: list[Callable[[Array], Array]] = []
-        self._consumed = False
+        self._records: Optional[list[Callable[[Array], Array]]] = []
 
     def record(self, backward_fn: Callable[[Array], Array]):
         self._records.append(backward_fn)
 
     def backward(self, upstream: Array) -> Array:
         """Propagate ``upstream`` back through the chain; returns dInput."""
-        if self._consumed:
+        records, self._records = self._records, None
+        if records is None:
             raise TapeError("tape already consumed; one backward per forward")
-        self._consumed = True
         g = upstream
-        for fn in reversed(self._records):
+        for fn in reversed(records):
             g = fn(g)
         return g
 
@@ -211,8 +214,6 @@ def batchnorm(
     state: RunningStats,
     mode: str,
     tape: Optional[GradTape] = None,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Array:
     """Per-column batch normalization.
 
@@ -233,10 +234,10 @@ def batchnorm(
         mu = x.mean(axis=0)
         xc = x - mu
         var = (xc * xc).mean(axis=0)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv
-        state.mean = (1.0 - momentum) * state.mean + momentum * mu
-        state.var = (1.0 - momentum) * state.var + momentum * var
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
         y = gamma.value * xhat + beta.value
         if tape is not None:
             def backward(dy):
@@ -250,7 +251,7 @@ def batchnorm(
                 )
             tape.record(backward)
     else:
-        inv = 1.0 / np.sqrt(state.var + eps)
+        inv = 1.0 / np.sqrt(state.var + BN_EPS)
         xhat = (x - state.mean) * inv
         y = gamma.value * xhat + beta.value
         if tape is not None:

@@ -33,7 +33,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
-    faac_enabled: bool = True
     grl_coefficient: float = 1.0
     dropout_p: float = 0.1
     enc_hidden: int = 1024
@@ -64,14 +63,14 @@ class EpochLog:
     epoch: int
     losses: LossBreakdown
     train_auc: float
-    val_auc: Optional[float] = None
 
 
 ADAM_BLOCK = 65_536  # elements per update block; its six streams stay in cache
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam (b1=0.9, b2=0.999, eps=1e-8); one step per batch.
+    """Standard Adam (b1=ADAM_B1, b2=ADAM_B2, eps=ADAM_EPS); one step per batch.
 
     ``values`` and ``grads`` are two flat float64 buffers of equal length,
     a model's parameter arena (``ModelParams.values`` / ``grads``); ``m``
@@ -88,8 +87,7 @@ class Adam:
     such as lr/(1-b1**t) would change the last bits.
     """
 
-    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float,
-                 b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float):
         if values.ndim != 1 or grads.shape != values.shape:
             raise ParameterError(
                 f"Adam needs two 1-D buffers of equal length, got shapes "
@@ -97,14 +95,13 @@ class Adam:
             )
         self.values, self.grads = values, grads
         self.lr = lr
-        self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
         self.m, self.v = zeros_mapped(values.size), zeros_mapped(values.size)
         self._scratch = np.empty((2, min(ADAM_BLOCK, values.size)))
 
     def step(self):
         self.t += 1
-        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_B1, ADAM_B2, self.lr, ADAM_EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         pf, gf, mf, vf = self.values, self.grads, self.m, self.v
@@ -156,13 +153,12 @@ def fit(
     gm: GeneMatrix,
     metas: Sequence[SampleMeta],
     cfg: TrainConfig,
-    validation: Optional[tuple[GeneMatrix, Sequence[int]]] = None,
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Train on a standardized matrix; metas must be row-aligned with gm.
 
     Returns the trained parameters and one EpochLog per epoch (loss means
-    over batches plus train AUROC, and validation AUROC when a
-    (matrix, labels) pair is supplied).
+    over batches plus train AUROC).  ``cfg.lambda1 == 0`` trains without
+    the clustering loss: the paper's ablation.
     """
     from .evaluate import auroc  # local import; evaluate builds on fit
 
@@ -192,7 +188,6 @@ def fit(
     )
     optim = Adam(params.values, params.grads, cfg.lr)
     grl = GrlConfig(cfg.grl_coefficient)
-    lambda1 = cfg.lambda1 if cfg.faac_enabled else 0.0
     x_all = gm.values
 
     logs: list[EpochLog] = []
@@ -205,7 +200,7 @@ def fit(
             for batch_index, idx in enumerate(batches):
                 terms, backward = batch_objective(
                     x_all[idx], responses[idx], domains[idx], params, grl,
-                    lambda1, cfg.lambda2, rng, cfg.dropout_p,
+                    cfg.lambda1, cfg.lambda2, rng, cfg.dropout_p,
                 )
                 for name, value in zip(("l_asy", "l_adv", "l_cls"), terms):
                     if not math.isfinite(value):
@@ -215,16 +210,15 @@ def fit(
                         )
                 backward()
                 optim.step()
-                del backward  # its tapes hold the batch's activations
                 sums += terms
             means = sums / len(batches)
             breakdown = total_loss(means[0], means[1], means[2], cfg.lambda1, cfg.lambda2)
-            train_auc = auroc(_score(x_all, params), responses)
-            val_auc = None
-            if validation is not None:
-                val_gm, val_labels = validation
-                val_auc = auroc(_score(val_gm.values, params), np.asarray(val_labels))
-            logs.append(EpochLog(epoch, breakdown, train_auc, val_auc))
+            scores = _score(x_all, params)
+            if not np.isfinite(scores).all():
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}: non-finite training scores"
+                )
+            logs.append(EpochLog(epoch, breakdown, auroc(scores, responses)))
     return params, logs
 
 
@@ -265,7 +259,7 @@ def predict(gm: GeneMatrix, ckpt: Checkpoint) -> np.ndarray:
 def write_log_csv(path, logs: Sequence[EpochLog]):
     write_table(
         path,
-        ["epoch", "l_asy", "l_adv", "l_cls", "total", "train_auc", "val_auc"],
+        ["epoch", "l_asy", "l_adv", "l_cls", "total", "train_auc"],
         ([log.epoch, log.losses.l_asy, log.losses.l_adv, log.losses.l_cls,
-          log.losses.total, log.train_auc, log.val_auc] for log in logs),
+          log.losses.total, log.train_auc] for log in logs),
     )

@@ -1,10 +1,14 @@
 """Command-line surface: flags, validation, determinism, round trips."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from fourierdg.cli import run
+from fourierdg.cli import TRAIN_FLAGS, _train_config, build_parser, run
+from fourierdg.data import write_expression, write_metadata
+from fourierdg.synth import SynthConfig, generate
+from fourierdg.train import TrainConfig
 
 FAST_TRAIN = [
     "--epochs", "3", "--batch", "16", "--lr", "1e-3",
@@ -87,6 +91,46 @@ class TestValidation:
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '{"genes": "abc"}', '{"genes": 2.5}',
+    ], ids=["invalid-json", "not-an-object", "string-for-int", "float-for-int"])
+    def test_malformed_synth_config(self, tmp_path, capsys, text):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(text)
+        rc = run(["synth", "--config", str(cfg),
+                  "--out-expr", str(tmp_path / "e.csv"),
+                  "--out-meta", str(tmp_path / "m.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_ablate_min_test_per_class_below_one(self, tmp_path, capsys, monkeypatch,
+                                                 value):
+        # domain D2 holds one class only; the bad value must be rejected
+        # before any fold trains, not surface as a per-domain AUROC error
+        gm, metas = generate(SynthConfig(domains=3, genes=40, per_domain=30, seed=5))
+        for m in metas:
+            if m.domain == "D2":
+                m.response = 1
+        expr, meta = tmp_path / "e.csv", tmp_path / "m.csv"
+        write_expression(expr, gm)
+        write_metadata(meta, metas)
+
+        def fail(*_):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr("fourierdg.train.fit", fail)
+        rc = run([
+            "ablate", "--expr", str(expr), "--meta", str(meta), *FAST_TRAIN,
+            "--seeds", "1,2", "--min-test-per-class", value,
+            "--out-table", str(tmp_path / "t.csv"),
+        ])
+        assert rc == 1
+        assert "min_test_per_class must be >= 1" in capsys.readouterr().err
+
     def test_bad_seeds_list(self, dataset, tmp_path, capsys):
         expr, meta = dataset
         rc = run([
@@ -95,6 +139,21 @@ class TestValidation:
         ])
         assert rc == 1
         assert "seeds" in capsys.readouterr().err
+
+
+class TestTrainFlags:
+    def test_table_covers_every_config_field_but_seed(self):
+        flagged = [field for _, field in TRAIN_FLAGS]
+        assert sorted(flagged) == sorted(
+            f.name for f in fields(TrainConfig) if f.name != "seed"
+        )
+
+    def test_defaults_are_train_config(self):
+        args = build_parser().parse_args([
+            "train", "--expr", "e", "--meta", "m",
+            "--out-checkpoint", "c", "--out-log", "l",
+        ])
+        assert _train_config(args, 0) == TrainConfig(seed=0)
 
 
 class TestResolvedConfig:
@@ -151,12 +210,6 @@ class TestRoundTrip:
         assert run(train_args(expr, meta, tmp_path, "b")) == 0
         assert (tmp_path / "ck_a.json").read_bytes() == (tmp_path / "ck_b.json").read_bytes()
         assert (tmp_path / "log_a.csv").read_bytes() == (tmp_path / "log_b.csv").read_bytes()
-
-    def test_no_faac_equals_lambda1_zero(self, dataset, tmp_path):
-        expr, meta = dataset
-        assert run(train_args(expr, meta, tmp_path, "nf", extra=["--no-faac"])) == 0
-        assert run(train_args(expr, meta, tmp_path, "lz", extra=["--lambda1", "0"])) == 0
-        assert (tmp_path / "log_nf.csv").read_bytes() == (tmp_path / "log_lz.csv").read_bytes()
 
     def test_default_benchmark_default_widths_smoke(self, tmp_path):
         # default generator (600 x 200) through default-width training

@@ -1,5 +1,7 @@
 """Metrics against brute-force oracles, plus the LODO/ablation harnesses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,7 @@ class TestRocPoints:
             labels[0], labels[1] = 0, 1
             scores = rng.integers(0, 12, n) / 11.0
             roc = roc_points(scores, labels)
-            assert abs(roc.auroc - auroc(scores, labels)) <= 1e-9
+            assert roc.auroc == auroc(scores, labels)
 
     def test_bitwise_equal_to_loop(self):
         rng = np.random.default_rng(5)
@@ -185,9 +187,15 @@ class TestRocPoints:
             labels = rng.integers(0, 2, n)
             labels[rng.choice(n, 2, replace=False)] = [0, 1]
             scores = rng.integers(0, 8, n) / 7.0
-            scores[rng.random(n) < 0.1] = np.nan
             got = np.array(roc_points(scores, labels).points)
             assert got.tobytes() == np.array(loop_roc_points(scores, labels)).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [auroc, roc_points])
+    def test_non_finite_scores_rejected(self, metric, bad):
+        # a NaN once ranked lowest in auroc and highest in roc_points
+        with pytest.raises(MetricError, match="finite"):
+            metric([bad, 0.2, 0.8, 0.1], [0, 1, 1, 0])
 
     def test_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(4)
@@ -325,6 +333,21 @@ class TestLodoRun:
             assert entry.roc.auroc == fold.roc.auroc
             assert entry.n_test == fold.labels.size
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_min_test_per_class_below_one_rejected_before_fit(
+        self, tiny_benchmark, monkeypatch, bad
+    ):
+        def fail(*_):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr("fourierdg.train.fit", fail)
+        gm, metas = tiny_benchmark
+        cfg = TrainConfig(**TINY)
+        with pytest.raises(ParameterError, match="min_test_per_class"):
+            lodo_run(gm, metas, cfg, min_test_per_class=bad)
+        with pytest.raises(ParameterError, match="min_test_per_class"):
+            ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=bad)
+
     def test_hvg_restricts_checkpoint_genes(self, tiny_benchmark):
         gm, metas = tiny_benchmark
         fold = run_fold(gm, metas, "D0", TrainConfig(**TINY), hvg=10)
@@ -343,6 +366,20 @@ class TestAblateFaac:
         assert [(r.seed, r.faac_on, r.domain, r.auroc) for r in result.rows] == [
             (r.seed, r.faac_on, r.domain, r.auroc) for r in again.rows
         ]
+
+    def test_arms_are_lodo_runs_with_and_without_lambda1(self, tiny_benchmark):
+        gm, metas = tiny_benchmark
+        cfg = TrainConfig(**{**TINY, "epochs": 2})
+        result = ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=3)
+        for seed in (1, 2):
+            for faac_on, run_cfg in (
+                (True, replace(cfg, seed=seed)),
+                (False, replace(cfg, seed=seed, lambda1=0.0)),
+            ):
+                report = lodo_run(gm, metas, run_cfg, min_test_per_class=3)
+                rows = [(r.domain, r.auroc) for r in result.rows
+                        if r.seed == seed and r.faac_on == faac_on]
+                assert rows == [(e.domain, e.roc.auroc) for e in report.entries]
 
     def test_needs_two_seeds(self, tiny_benchmark):
         gm, metas = tiny_benchmark

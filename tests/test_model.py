@@ -11,7 +11,7 @@ import pytest
 
 from fourierdg import fourier
 from fourierdg.data import NormStats
-from fourierdg.errors import DimensionError, ParameterError
+from fourierdg.errors import DimensionError, ParameterError, TapeError
 from fourierdg.losses import asymmetric_loss, classification_loss, domain_adversarial_loss
 from fourierdg.model import (
     Checkpoint,
@@ -28,7 +28,7 @@ from fourierdg.model import (
     save_checkpoint,
 )
 from fourierdg.tensor_core import RngState, grad_check
-from fourierdg.train import Adam
+from fourierdg.train import Adam, TrainConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,7 +49,11 @@ class TestInitParams:
         assert not np.array_equal(a.w1.value, b.w1.value)
 
     def test_full_scale_shapes(self):
-        params = init_params(3000, 4, RngState(0))
+        cfg = TrainConfig()
+        params = init_params(
+            3000, 4, RngState(0),
+            hidden=cfg.enc_hidden, d=cfg.enc_out, disc_hidden=cfg.disc_hidden,
+        )
         assert params.w1.value.shape == (3000, 1024)
         assert params.w2.value.shape == (1024, 740)
         assert params.clf_w.value.shape == (740, 1)
@@ -66,11 +70,11 @@ class TestInitParams:
 
     def test_invalid_args(self):
         with pytest.raises(ParameterError):
-            init_params(0, 3, RngState(0))
+            init_params(0, 3, RngState(0), hidden=4, d=2, disc_hidden=2)
         with pytest.raises(ParameterError):
-            init_params(5, 1, RngState(0))
+            init_params(5, 1, RngState(0), hidden=4, d=2, disc_hidden=2)
         with pytest.raises(ParameterError):
-            init_params(5, 3, RngState(0), hidden=4, d=7)
+            init_params(5, 3, RngState(0), hidden=4, d=7, disc_hidden=2)
 
 
 class TestParameterArena:
@@ -151,13 +155,13 @@ class TestForwardFull:
     def test_probability_range(self):
         params = small_params()
         x = np.random.default_rng(2).standard_normal((6, 12))
-        _, p, _ = forward_full(x, params, GrlConfig(), "eval")
+        _, p, _ = forward_full(x, params, GrlConfig(1.0), "eval")
         assert np.all((p > 0) & (p < 1))
 
     def test_z_matches_composition(self):
         params = small_params()
         x = np.random.default_rng(3).standard_normal((6, 12))
-        z, _, _ = forward_full(x, params, GrlConfig(), "eval")
+        z, _, _ = forward_full(x, params, GrlConfig(1.0), "eval")
         direct = fourier.project(encode(x, params, "eval"), params.basis)
         assert np.array_equal(z, direct)
 
@@ -266,9 +270,19 @@ class TestBatchObjective:
         monkeypatch.setattr("fourierdg.model.asymmetric_loss", fail)
         params = small_params(7)
         x = RngState(7).normal((6, 12))
-        terms, backward = batch_objective(x, self.Y, self.DOM, params, GrlConfig(), 0.0, 1.0)
+        terms, backward = batch_objective(x, self.Y, self.DOM, params, GrlConfig(1.0), 0.0, 1.0)
         backward()
         assert terms[0] == 0.0 and np.isfinite(params.grads).all()
+
+    def test_backward_runs_once(self):
+        params = small_params(7)
+        x = RngState(7).normal((6, 12))
+        _, backward = batch_objective(x, self.Y, self.DOM, params, GrlConfig(1.0), 1.0, 1.0)
+        backward()
+        grads = params.grads.copy()
+        with pytest.raises(TapeError):
+            backward()
+        assert np.array_equal(params.grads, grads)
 
 
 class TestCheckpoint:

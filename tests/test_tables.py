@@ -59,12 +59,12 @@ def test_epoch_log(tmp_path):
     logs = [
         EpochLog(1, LossBreakdown(np.float64(0.5), 0.69, -0.0, np.float64(1.19)),
                  np.float64(0.75)),
-        EpochLog(2, LossBreakdown(1e-07, 1e16, 0.125, 3.0), 1.0, np.float64(0.5)),
+        EpochLog(2, LossBreakdown(1e-07, 1e16, 0.125, 3.0), 1.0),
     ]
     assert written(tmp_path, write_log_csv, logs) == (
-        b"epoch,l_asy,l_adv,l_cls,total,train_auc,val_auc\n"
-        b"1,0.5,0.69,-0.0,1.19,0.75,\n"
-        b"2,1e-07,1e+16,0.125,3.0,1.0,0.5\n"
+        b"epoch,l_asy,l_adv,l_cls,total,train_auc\n"
+        b"1,0.5,0.69,-0.0,1.19,0.75\n"
+        b"2,1e-07,1e+16,0.125,3.0,1.0\n"
     )
 
 
@@ -122,7 +122,7 @@ def test_predict_scores(tmp_path, bias, cell):
     params.clf_w.value[...] = 0.0
     params.clf_b.value[...] = bias
     stats = NormStats(params.gene_list, np.zeros(3), np.ones(3))
-    ckpt = Checkpoint(params, stats, GrlConfig(), {}, ["A", "B"])
+    ckpt = Checkpoint(params, stats, GrlConfig(1.0), {}, ["A", "B"])
     ck, expr, out = tmp_path / "ck.json", tmp_path / "e.csv", tmp_path / "s.csv"
     save_checkpoint(ck, ckpt)
     write_expression(expr, GeneMatrix(["x1", "x2"], params.gene_list, np.eye(2, 3)))

@@ -1,5 +1,7 @@
 """Forward/backward correctness of the dense-matrix primitives."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,17 @@ class TestGradTape:
         tape.backward(np.ones((1, 2)))
         with pytest.raises(TapeError):
             tape.backward(np.ones((1, 2)))
+
+    def test_backward_releases_recorded_activations(self):
+        # affine's record holds its input until the tape's one replay
+        x = np.ones((3, 2))
+        alive = weakref.ref(x)
+        tape = GradTape()
+        affine(x, Param(np.ones((2, 2))), Param(np.zeros(2)), tape)
+        del x
+        assert alive() is not None
+        tape.backward(np.ones((3, 2)))
+        assert alive() is None
 
     def test_reverse_order_composition(self):
         # y = relu(x @ W); backward must apply relu mask before W^T
