@@ -43,6 +43,7 @@ from .model import (
     Checkpoint,
     GrlConfig,
     ModelParams,
+    checkpoint_to_json,
     encode,
     forward_full,
     gradient_suite,
@@ -67,9 +68,9 @@ __all__ = [
     "FourierBasis", "build_basis", "project", "reconstruct",
     "LossBreakdown", "asymmetric_loss", "attention_diagnostic",
     "classification_loss", "domain_adversarial_loss", "total_loss",
-    "Checkpoint", "GrlConfig", "ModelParams", "encode", "forward_full",
-    "gradient_suite", "grl_backward", "init_params", "load_checkpoint",
-    "save_checkpoint",
+    "Checkpoint", "GrlConfig", "ModelParams", "checkpoint_to_json", "encode",
+    "forward_full", "gradient_suite", "grl_backward", "init_params",
+    "load_checkpoint", "save_checkpoint",
     "SynthConfig", "generate",
     "GradTape", "Param", "RngState", "grad_check",
     "EpochLog", "TrainConfig", "fit", "make_batches", "predict",

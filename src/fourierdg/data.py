@@ -18,6 +18,7 @@ binary: 1 = drug-sensitive, 0 = resistant.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -85,6 +86,11 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+# The line breaks of str.splitlines besides \n and \r.  Reading a file by
+# lines (universal newlines) ends a line at \n, \r and \r\n only.
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _read_lines(path) -> list[tuple[int, str]]:
     """The non-blank lines with their 1-based line numbers in the file."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
@@ -126,30 +132,45 @@ def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
     return delim, gene_names
 
 
-def _parse_rows_fast(
-    rows: list[tuple[int, str]], delim: str, n_genes: int
-) -> Optional[tuple[list[str], np.ndarray]]:
-    """Whole-table parse with no per-cell checks; None on any problem.
+def _parse_stream(path) -> Optional[tuple[list[str], list[str], np.ndarray]]:
+    """Row-by-row parse straight from the file, with no per-cell checks.
 
-    ``float`` strips the same whitespace as ``str.strip``, so every value
-    equals the one :func:`_parse_rows_checked` gives for the same cell.
+    Returns ``(gene_names, sample_ids, values)``, or None on any problem.
+    Each row's values go straight into one growing float64 buffer, so the
+    file text is never held whole.  A cell that ``float`` reads as it
+    stands reads the same once stripped, so every value equals the one
+    :func:`_parse_rows_checked` gives for the same cell.  A line holding a
+    break that ``str.splitlines`` splits on but file iteration does not is
+    a problem too: the two parsers would split and number it differently.
     """
+    gene_names: Optional[list[str]] = None
     sample_ids: list[str] = []
-    values: list[float] = []
+    values = array("d")
     try:
-        for _, line in rows:
-            sid, _, rest = line.partition(delim)
-            cells = rest.split(delim)
-            if len(cells) != n_genes:
-                return None
-            sample_ids.append(sid.strip())
-            values.extend(map(float, cells))
-    except ValueError:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if any(c in line for c in _OTHER_LINE_BREAKS):
+                    return None
+                if line.strip() == "":
+                    continue
+                if gene_names is None:
+                    delim, gene_names = _expression_header([(lineno, line)])
+                    continue
+                sid, _, rest = line.partition(delim)
+                cells = rest.split(delim)
+                if len(cells) != len(gene_names):
+                    return None
+                sample_ids.append(sid.strip())
+                values.extend(map(float, cells))
+    except (ParseError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    matrix = np.array(values, dtype=np.float64).reshape(len(rows), n_genes)
+    if gene_names is None:
+        return None
+    shape = (len(sample_ids), len(gene_names))
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(shape)
     if len(set(sample_ids)) != len(sample_ids) or not np.isfinite(matrix).all():
         return None
-    return sample_ids, matrix
+    return gene_names, sample_ids, matrix
 
 
 def _parse_rows_checked(
@@ -182,19 +203,39 @@ def _parse_rows_checked(
 def load_expression(path) -> GeneMatrix:
     """Parse an expression table; raises ParseError with a line number.
 
-    The whole table is parsed in one pass first; only when that finds a
-    problem does the line-by-line parser run, to name the line.
+    The table is parsed row by row from the open file first; only when that
+    finds a problem does the line-by-line parser read it again, to name
+    the line.
     """
-    lines = _read_lines(path)
-    delim, gene_names = _expression_header(lines)
-    parsed = _parse_rows_fast(lines[1:], delim, len(gene_names))
+    parsed = _parse_stream(path)
     if parsed is None:
-        parsed = _parse_rows_checked(lines[1:], delim, gene_names)
-    sample_ids, values = parsed
+        lines = _read_lines(path)
+        delim, gene_names = _expression_header(lines)
+        sample_ids, values = _parse_rows_checked(lines[1:], delim, gene_names)
+    else:
+        gene_names, sample_ids, values = parsed
     return GeneMatrix(sample_ids, gene_names, values)
 
 
+def _check_names(kind: str, names, delimiter: str):
+    """Raise ParameterError for a name that would not read back unchanged:
+    one holding the delimiter or a line break, or padded with whitespace."""
+    breaks = "\r\n" + _OTHER_LINE_BREAKS
+    for name in names:
+        if delimiter in name:
+            problem = f"contains the delimiter {delimiter!r}"
+        elif any(c in name for c in breaks):
+            problem = "contains a line break"
+        elif name != name.strip():
+            problem = "has leading or trailing whitespace"
+        else:
+            continue
+        raise ParameterError(f"{kind} {name!r} {problem}; it would not read back")
+
+
 def write_expression(path, gm: GeneMatrix, delimiter: str = ","):
+    _check_names("sample id", gm.sample_ids, delimiter)
+    _check_names("gene name", gm.gene_names, delimiter)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(["sample_id"] + gm.gene_names) + "\n")
         for sid, row in zip(gm.sample_ids, gm.values):
@@ -243,6 +284,8 @@ def load_metadata(path) -> list[SampleMeta]:
 
 
 def write_metadata(path, metas: Sequence[SampleMeta], delimiter: str = ","):
+    _check_names("sample id", [m.sample_id for m in metas], delimiter)
+    _check_names("domain", [m.domain for m in metas], delimiter)
     rows = ([m.sample_id, m.domain, m.ic50, m.response] for m in metas)
     write_table(path, META_HEADER, rows, delimiter)
 
@@ -320,12 +363,9 @@ def zscore_fit_apply(
         stats = NormStats(list(gm.gene_names), mean, std)
     elif stats.gene_names != gm.gene_names:
         raise AlignmentError("normalization stats were fit on different genes")
-    out = GeneMatrix(
-        list(gm.sample_ids),
-        list(gm.gene_names),
-        (gm.values - stats.mean) / stats.std,
-    )
-    return out, stats
+    values = np.subtract(gm.values, stats.mean)
+    values /= stats.std
+    return GeneMatrix(list(gm.sample_ids), list(gm.gene_names), values), stats
 
 
 def align_genes(gm: GeneMatrix, gene_list: Sequence[str]) -> GeneMatrix:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config field check."""
+
+import dataclasses
 
 
 class FourierDGError(Exception):
@@ -51,3 +53,13 @@ class MetricError(FourierDGError):
 
 class ReportError(FourierDGError):
     """An evaluation harness produced no result."""
+
+
+def check_field_types(cfg):
+    """Raise ParameterError unless each field of the dataclass ``cfg`` holds
+    a value of its default's type; a bool is no int, an int is a float."""
+    for f in dataclasses.fields(cfg):
+        value, want = getattr(cfg, f.name), type(f.default)
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ParameterError(f"{f.name} must be {want.__name__}, got {value!r}")

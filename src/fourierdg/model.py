@@ -14,6 +14,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -423,7 +424,22 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    Path(path).write_text(checkpoint_to_json(ckpt) + "\n", encoding="utf-8")
+    """Write ``checkpoint_to_json(ckpt)`` and a newline.
+
+    The document is streamed to ``<path>.tmp`` rather than built as one
+    string, and replaces ``path`` only once it is whole: a value that
+    cannot be encoded leaves an existing checkpoint as it was.
+    """
+    doc = checkpoint_to_dict(ckpt)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

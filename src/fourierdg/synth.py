@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GeneMatrix, SampleMeta
-from .errors import ParameterError
+from .errors import ParameterError, check_field_types
 from .tensor_core import RngState
 
 
@@ -32,6 +32,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        check_field_types(self)
         if self.domains < 2:
             raise ParameterError(f"domains must be >= 2, got {self.domains}")
         if self.mechanisms < 2:

@@ -176,7 +176,8 @@ def affine(
         raise DimensionError(
             f"bias must have shape ({w.value.shape[1]},), got {b.value.shape}"
         )
-    y = x @ w.value + b.value
+    y = x @ w.value
+    y += b.value
     if tape is not None:
         def backward(dy):
             w.grad += x.T @ dy
@@ -251,15 +252,20 @@ def batchnorm(
                 )
             tape.record(backward)
     else:
+        # ((x - mean) * inv) * gamma + beta, in one buffer of its own
         inv = 1.0 / np.sqrt(state.var + BN_EPS)
-        xhat = (x - state.mean) * inv
-        y = gamma.value * xhat + beta.value
+        y = np.subtract(x, state.mean)
+        y *= inv
         if tape is not None:
+            xhat = y.copy()
+
             def backward(dy):
                 gamma.grad += (dy * xhat).sum(axis=0)
                 beta.grad += dy.sum(axis=0)
                 return dy * gamma.value * inv
             tape.record(backward)
+        y *= gamma.value
+        y += beta.value
     return y
 
 

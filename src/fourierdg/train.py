@@ -17,7 +17,12 @@ import numpy as np
 
 from . import fourier
 from .data import GeneMatrix, SampleMeta, align_genes, select_hvg, write_table, zscore_fit_apply
-from .errors import ConfigurationError, ParameterError, TrainingDivergedError
+from .errors import (
+    ConfigurationError,
+    ParameterError,
+    TrainingDivergedError,
+    check_field_types,
+)
 from .losses import LossBreakdown, total_loss
 from .model import Checkpoint, GrlConfig, ModelParams, batch_objective, encode, init_params
 from .tensor_core import RngState, affine, sigmoid, zeros_mapped
@@ -40,6 +45,7 @@ class TrainConfig:
     disc_hidden: int = 256
 
     def validate(self):
+        check_field_types(self)
         if not np.isfinite(self.lr) or self.lr <= 0:
             raise ParameterError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 2:
@@ -251,8 +257,8 @@ def train_checkpoint(
 def predict(gm: GeneMatrix, ckpt: Checkpoint) -> np.ndarray:
     """Score new samples: align genes, apply stored standardization, run
     the eval-mode forward pass, return P(sensitive) per sample."""
-    aligned = align_genes(gm, ckpt.params.gene_list)
-    standardized, _ = zscore_fit_apply(aligned, ckpt.stats)
+    # the aligned copy is dropped once standardized, before scoring
+    standardized, _ = zscore_fit_apply(align_genes(gm, ckpt.params.gene_list), ckpt.stats)
     return _score(standardized.values, ckpt.params)
 
 

@@ -77,7 +77,7 @@ class TestLoadExpression:
 
 
 # (id, file text, expected outcome: None to parse, else the ParseError
-# text, and whether the one-pass parser alone accepts the file)
+# text, and whether the streaming parser alone accepts the file)
 PARSER_CASES = [
     ("plain", "sample_id,g1,g2\ns1,1,2\ns2,3.5,-4e-3\n", None, True),
     ("tsv", "sample_id\tg1\tg2\ns1\t1\t2\ns2\t3\t4\n", None, True),
@@ -118,6 +118,22 @@ PARSER_CASES = [
      "line 5: expected 3 fields, got 2", False),
     ("blank-line-before-bad-header", "\nsample_id,g1,g1\ns1,1,2\n",
      "line 2: duplicate gene names in header", False),
+    ("cr-line-ends", "sample_id,g1,g2\rs1,1,2\rs2,3,4\r", None, True),
+    ("cr-line-ends-bad-row", "sample_id,g1\rs1,1\r\rs2,x\r",
+     "line 4: non-numeric value 'x' for gene 'g1'", False),
+    # str.splitlines also breaks lines at these; file iteration does not
+    ("form-feed-in-row", "sample_id,g1,g2\ns1,1\x0c,2\n",
+     "line 2: expected 3 fields, got 2", False),
+    ("file-separator-in-row", "sample_id,g1\ns1,1\x1cs2,2\n", None, False),
+    ("next-line-in-row", "sample_id,g1,g2\ns1,1,2\x85\ns2,3,4\n", None, False),
+    ("line-separator-in-row", "sample_id,g1,g2\ns1,1,\u20282\ns2,3,4\n",
+     "line 2: non-numeric value '' for gene 'g2'", False),
+    ("line-separator-in-header", "sample_id,g1\u2028g2\ns1,1\n",
+     "line 2: expected 2 fields, got 1", False),
+    ("header-only-no-final-newline", "sample_id,g1,g2", None, True),
+    ("no-final-newline", "sample_id,g1,g2\ns1,1,2\ns2,3,4", None, True),
+    ("no-final-newline-bad-row", "sample_id,g1,g2\ns1,1,2\ns2,3",
+     "line 3: expected 3 fields, got 2", False),
 ]
 
 # (id, metadata file text, expected ParseError text)
@@ -164,14 +180,7 @@ class TestParserCases:
             assert not isinstance(got, str), got
         else:
             assert got == expected
-        lines = data._read_lines(path)
-        try:
-            delim, genes = data._expression_header(lines)
-        except ParseError:
-            assert not fast
-        else:
-            one_pass = data._parse_rows_fast(lines[1:], delim, len(genes))
-            assert (one_pass is not None) == fast
+        assert (data._parse_stream(path) is not None) == fast
 
     @pytest.mark.parametrize(
         "text,expected", [c[1:] for c in METADATA_CASES],
@@ -208,6 +217,61 @@ class TestWriteExpressionBytes:
         assert path.read_bytes() == expected.encode("utf-8")
         back = load_expression(path)
         assert back.values.tobytes() == WRITE_MATRIX.values.tobytes()
+
+
+# (id, name, delimiter, expected ParameterError text after the name)
+UNREADABLE_NAMES = [
+    ("comma", "a,b", ",", "contains the delimiter ','"),
+    ("tab", "a\tb", "\t", "contains the delimiter '\\t'"),
+    ("newline", "a\nb", ",", "contains a line break"),
+    ("carriage-return", "a\rb", ",", "contains a line break"),
+    ("trailing-newline", "a\n", ",", "contains a line break"),
+    ("next-line", "a\x85b", ",", "contains a line break"),
+    ("leading-space", " a", ",", "has leading or trailing whitespace"),
+    ("trailing-tab", "a\t", ",", "has leading or trailing whitespace"),
+]
+
+
+class TestWriterNames:
+    """Writers refuse a name that load_expression/load_metadata would reject
+    or read back changed, before they open the file."""
+
+    @pytest.mark.parametrize(
+        "name,delimiter,problem", [c[1:] for c in UNREADABLE_NAMES],
+        ids=[c[0] for c in UNREADABLE_NAMES],
+    )
+    @pytest.mark.parametrize("field", ["sample id", "gene name"])
+    def test_write_expression(self, tmp_path, field, name, delimiter, problem):
+        ids, genes = ["s1", "s2"], ["g1", "g2"]
+        (ids if field == "sample id" else genes)[1] = name
+        gm = GeneMatrix(ids, genes, np.ones((2, 2)))
+        path = tmp_path / "e.csv"
+        with pytest.raises(ParameterError) as err:
+            write_expression(path, gm, delimiter)
+        assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "name,delimiter,problem", [c[1:] for c in UNREADABLE_NAMES],
+        ids=[c[0] for c in UNREADABLE_NAMES],
+    )
+    @pytest.mark.parametrize("field", ["sample id", "domain"])
+    def test_write_metadata(self, tmp_path, field, name, delimiter, problem):
+        metas = [SampleMeta("s1", "lung", 0.5),
+                 SampleMeta(name, "skin", 1.5) if field == "sample id"
+                 else SampleMeta("s2", name, 1.5)]
+        path = tmp_path / "m.csv"
+        with pytest.raises(ParameterError) as err:
+            write_metadata(path, metas, delimiter)
+        assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
+        assert not path.exists()
+
+    def test_other_delimiter_allowed(self, tmp_path):
+        gm = GeneMatrix(["a,b", "c d"], ["g,1"], np.array([[1.0], [2.0]]))
+        path = tmp_path / "e.tsv"
+        write_expression(path, gm, "\t")
+        back = load_expression(path)
+        assert back.sample_ids == gm.sample_ids and back.gene_names == gm.gene_names
 
 
 class TestLoadMetadata:

@@ -1,0 +1,74 @@
+"""Memory bounds of the scoring hand-off: ingest, checkpoint save, scoring.
+
+Each bound is on the tracemalloc peak, the most bytes that Python and
+numpy held at once during the call, counted from its start.  Unlike RSS
+these counts are exact and repeatable, so the bounds can be tight.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+
+from fourierdg.data import load_expression, write_expression, zscore_fit_apply
+from fourierdg.model import Checkpoint, GrlConfig, init_params, save_checkpoint
+from fourierdg.synth import SynthConfig, generate
+from fourierdg.tensor_core import Param, RngState, affine
+from fourierdg.train import TrainConfig, _score
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak bytes allocated during the call)``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_expression_holds_about_one_matrix(tmp_path):
+    gm, _ = generate(SynthConfig(genes=400, per_domain=50, seed=2))
+    path = tmp_path / "e.csv"
+    write_expression(path, gm)
+    back, peak = traced_peak(load_expression, path)
+    assert back.values.tobytes() == gm.values.tobytes()
+    # the file text, its lines and a Python float per cell are never held
+    assert peak <= 3 * gm.values.nbytes, peak / gm.values.nbytes
+
+
+def test_save_checkpoint_does_not_hold_the_document(tmp_path):
+    # widths in roughly the reference proportions: w1 is half the arena
+    gm, metas = generate(SynthConfig(genes=120, per_domain=10, seed=2))
+    params = init_params(gm.gene_names, 6, RngState(0), hidden=128, d=96, disc_hidden=64)
+    _, stats = zscore_fit_apply(gm)
+    ckpt = Checkpoint(params, stats, GrlConfig(1.0),
+                      dataclasses.asdict(TrainConfig()), [f"D{i}" for i in range(6)])
+    path = tmp_path / "m.json"
+    _, peak = traced_peak(save_checkpoint, path, ckpt)
+    size = path.stat().st_size
+    # the encoded arrays, plus one of them being written; not the whole
+    # JSON text and its bytes as well
+    assert peak <= 2.5 * size, peak / size
+
+
+def test_affine_adds_bias_in_place():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((300, 40))
+    w, b = Param(rng.standard_normal((40, 256))), Param(rng.standard_normal(256))
+    y, peak = traced_peak(affine, x, w, b)
+    assert y.tobytes() == (x @ w.value + b.value).tobytes()
+    assert peak <= 1.5 * y.nbytes, peak / y.nbytes
+
+
+def test_eval_score_reuses_its_buffers():
+    rows, hidden = 300, 256
+    gm, _ = generate(SynthConfig(genes=40, per_domain=50, seed=2))
+    x, _ = zscore_fit_apply(gm)
+    params = init_params(gm.gene_names, 6, RngState(0), hidden=hidden, d=16, disc_hidden=8)
+    values = np.ascontiguousarray(x.values[:rows])
+    scores, peak = traced_peak(_score, values, params)
+    assert scores.shape == (rows,)
+    activation = rows * hidden * 8
+    assert peak <= 3 * activation, peak / activation

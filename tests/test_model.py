@@ -319,6 +319,17 @@ class TestCheckpoint:
         assert loaded.grl.coefficient == 0.8
         assert loaded.train_config["lr"] == 8e-5
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, self._make())
+        before = path.read_bytes()
+        bad = self._make()
+        bad.train_config["lr"] = np.float32(8e-5)  # not JSON-serializable
+        with pytest.raises(TypeError):
+            save_checkpoint(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
     def test_version_gate(self, tmp_path):
         ckpt = self._make()
         path = tmp_path / "ck.json"

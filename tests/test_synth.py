@@ -99,6 +99,22 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             generate(small_cfg(**overrides))
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(genes=2.5), "genes must be int, got 2.5"),
+        (dict(seed=True), "seed must be int, got True"),
+        (dict(domains="3"), "domains must be int, got '3'"),
+        (dict(noise="1.0"), "noise must be float, got '1.0'"),
+        (dict(noise=None), "noise must be float, got None"),
+    ])
+    def test_wrong_type_rejected(self, overrides, message):
+        with pytest.raises(ParameterError) as err:
+            generate(SynthConfig(**overrides))
+        assert str(err.value) == message
+
+    def test_int_accepted_for_float(self):
+        gm, _ = generate(small_cfg(noise=1, signature_strength=3))
+        assert gm.values.tobytes() == generate(small_cfg())[0].values.tobytes()
+
 
 class TestLinearProbeOracle:
     def test_default_config_is_linearly_solvable(self):

@@ -152,6 +152,24 @@ class TestBatchNormBitwise:
             assert state.mean.tobytes() == expected[1].tobytes()
             assert state.var.tobytes() == expected[2].tobytes()
 
+    def test_eval_mode_equals_formula(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((9, 5)) * 3.0 + 1.0
+        x_before = x.copy()
+        gamma, beta = rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)
+        state = RunningStats(5)
+        state.mean, state.var = rng.standard_normal(5), rng.uniform(0.5, 2.0, 5)
+        xhat = (x - state.mean) * (1.0 / np.sqrt(state.var + 1e-5))
+        dy = rng.standard_normal((9, 5))
+        g, b = Param(gamma), Param(beta)
+        tape = GradTape()
+        y = batchnorm(x, g, b, state, "eval", tape)
+        tape.backward(dy)
+        assert y.tobytes() == (gamma * xhat + beta).tobytes()
+        assert g.grad.tobytes() == (dy * xhat).sum(axis=0).tobytes()
+        assert b.grad.tobytes() == dy.sum(axis=0).tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
 
 class TestDropout:
     def test_p_zero_noop(self):

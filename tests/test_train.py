@@ -134,6 +134,22 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             cfg.validate()
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(epochs="3"), "epochs must be int, got '3'"),
+        (dict(batch_size=16.5), "batch_size must be int, got 16.5"),
+        (dict(enc_hidden=False), "enc_hidden must be int, got False"),
+        (dict(lr="1e-3"), "lr must be float, got '1e-3'"),
+    ])
+    def test_wrong_type_rejected(self, overrides, message):
+        with pytest.raises(ParameterError) as err:
+            TrainConfig(**{**TINY, **overrides}).validate()
+        assert str(err.value) == message
+
+    def test_fit_rejects_float_batch_size(self):
+        gm, metas = tiny_data()
+        with pytest.raises(ParameterError, match="batch_size must be int"):
+            fit(gm, metas, TrainConfig(**{**TINY, "batch_size": 16.5}))
+
     def test_reference_defaults(self):
         cfg = TrainConfig()
         assert cfg.lr == 8e-5
