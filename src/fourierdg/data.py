@@ -335,7 +335,7 @@ def select_hvg(gm: GeneMatrix, k: int) -> GeneMatrix:
     return GeneMatrix(
         list(gm.sample_ids),
         [gm.gene_names[j] for j in cols],
-        gm.values[:, cols].copy(),
+        np.take(gm.values, cols, axis=1),
     )
 
 
@@ -377,7 +377,7 @@ def align_genes(gm: GeneMatrix, gene_list: Sequence[str]) -> GeneMatrix:
         raise AlignmentError(f"{len(missing)} genes missing from matrix: {shown}")
     cols = [index[g] for g in gene_list]
     return GeneMatrix(
-        list(gm.sample_ids), list(gene_list), gm.values[:, cols].copy()
+        list(gm.sample_ids), list(gene_list), np.take(gm.values, cols, axis=1)
     )
 
 
@@ -386,7 +386,7 @@ def subset_samples(gm: GeneMatrix, indices: Sequence[int]) -> GeneMatrix:
     return GeneMatrix(
         [gm.sample_ids[i] for i in idx],
         list(gm.gene_names),
-        gm.values[idx, :].copy(),
+        gm.values[idx, :],
     )
 
 

@@ -215,6 +215,16 @@ def eligible_domains(
     return out
 
 
+def _domain_result(fold: FoldResult) -> DomainResult:
+    return DomainResult(
+        domain=fold.domain,
+        n_test=int(fold.labels.size),
+        n_pos=int((fold.labels == 1).sum()),
+        n_neg=int((fold.labels == 0).sum()),
+        roc=fold.roc,
+    )
+
+
 def lodo_run(
     gm: GeneMatrix,
     metas: Sequence[SampleMeta],
@@ -237,16 +247,10 @@ def lodo_run(
         raise ReportError(
             f"no domain has {min_test_per_class}+ samples of each class"
         )
-    folds = [run_fold(gm, metas, domain, cfg, hvg) for domain in targets]
+    # each fold's checkpoint is dropped once its entry is made, so one fold
+    # model is alive at a time
     entries = [
-        DomainResult(
-            domain=f.domain,
-            n_test=int(f.labels.size),
-            n_pos=int((f.labels == 1).sum()),
-            n_neg=int((f.labels == 0).sum()),
-            roc=f.roc,
-        )
-        for f in folds
+        _domain_result(run_fold(gm, metas, domain, cfg, hvg)) for domain in targets
     ]
     mean_auroc = float(np.mean([e.roc.auroc for e in entries]))
     return LodoReport(entries=entries, mean_auroc=mean_auroc)

@@ -149,6 +149,19 @@ class ModelParams:
     def trainables(self) -> list[Param]:
         return list(self._trainables)
 
+    def release_grads(self):
+        """Swap ``grads`` for a fresh zero arena and rebind every ``Param.grad``.
+
+        The written pages of the old arena go back to the system once
+        nothing else references it; the new map costs no memory until it is
+        written.  (``madvise(MADV_DONTNEED)`` would not do: the map is
+        shared, and shared pages are not freed by it.)
+        """
+        shapes = [t.grad.shape for t in self._trainables]
+        self.grads = zeros_mapped(self.grads.size)
+        for param, grad in zip(self._trainables, flat_views(self.grads, shapes)):
+            param.grad = grad
+
     def copy(self) -> "ModelParams":
         out = ModelParams(
             self.gene_list, self.m_domains, self.hidden, self.d, self.disc_hidden

@@ -162,9 +162,10 @@ def fit(
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Train on a standardized matrix; metas must be row-aligned with gm.
 
-    Returns the trained parameters and one EpochLog per epoch (loss means
-    over batches plus train AUROC).  ``cfg.lambda1 == 0`` trains without
-    the clustering loss: the paper's ablation.
+    Returns the trained parameters, whose gradient arena is all zeros,
+    and one EpochLog per epoch (loss means over batches plus train AUROC).
+    ``cfg.lambda1 == 0`` trains without the clustering loss: the paper's
+    ablation.
     """
     from .evaluate import auroc  # local import; evaluate builds on fit
 
@@ -225,6 +226,9 @@ def fit(
                     f"training diverged at epoch {epoch}: non-finite training scores"
                 )
             logs.append(EpochLog(epoch, breakdown, auroc(scores, responses)))
+    # the last batch's gradient is of no use to a trained model; its pages,
+    # like Adam's moments, are freed when this frame ends
+    params.release_grads()
     return params, logs
 
 

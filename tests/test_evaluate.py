@@ -1,5 +1,7 @@
 """Metrics against brute-force oracles, plus the LODO/ablation harnesses."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +334,27 @@ class TestLodoRun:
             assert entry.roc.points == fold.roc.points
             assert entry.roc.auroc == fold.roc.auroc
             assert entry.n_test == fold.labels.size
+
+    def test_holds_one_fold_model_at_a_time(self, tiny_benchmark, monkeypatch):
+        gm, metas = tiny_benchmark
+        cfg = TrainConfig(**TINY)
+        unwrapped = lodo_run(gm, metas, cfg, min_test_per_class=3)
+        earlier = []
+
+        def tracked_run_fold(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in earlier), "an earlier fold model is alive"
+            fold = run_fold(*args, **kwargs)
+            earlier.append(weakref.ref(fold.checkpoint.params))
+            return fold
+
+        monkeypatch.setattr("fourierdg.evaluate.run_fold", tracked_run_fold)
+        report = lodo_run(gm, metas, cfg, min_test_per_class=3)
+        gc.collect()
+        assert len(earlier) == 3 and all(ref() is None for ref in earlier)
+        assert [e.roc.points for e in report.entries] == [
+            e.roc.points for e in unwrapped.entries
+        ]
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_min_test_per_class_below_one_rejected_before_fit(

@@ -1,4 +1,5 @@
-"""Memory bounds of the scoring hand-off: ingest, checkpoint save, scoring.
+"""Memory bounds of the scoring hand-off: ingest, checkpoint save, gene and
+sample gathers, scoring.
 
 Each bound is on the tracemalloc peak, the most bytes that Python and
 numpy held at once during the call, counted from its start.  Unlike RSS
@@ -10,7 +11,13 @@ import tracemalloc
 
 import numpy as np
 
-from fourierdg.data import load_expression, write_expression, zscore_fit_apply
+from fourierdg.data import (
+    align_genes,
+    load_expression,
+    subset_samples,
+    write_expression,
+    zscore_fit_apply,
+)
 from fourierdg.model import Checkpoint, GrlConfig, init_params, save_checkpoint
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import Param, RngState, affine
@@ -51,6 +58,18 @@ def test_save_checkpoint_does_not_hold_the_document(tmp_path):
     # the encoded arrays, plus one of them being written; not the whole
     # JSON text and its bytes as well
     assert peak <= 2.5 * size, peak / size
+
+
+def test_column_and_row_gathers_copy_once():
+    gm, _ = generate(SynthConfig(genes=400, per_domain=50, seed=2))
+    genes = gm.gene_names[::-1]
+    aligned, peak = traced_peak(align_genes, gm, genes)
+    assert aligned.values.flags.c_contiguous
+    assert aligned.values.tobytes() == gm.values[:, ::-1].tobytes()
+    assert peak <= 1.25 * aligned.values.nbytes, peak / aligned.values.nbytes
+    rows, peak = traced_peak(subset_samples, gm, range(0, 300, 2))
+    assert rows.values.tobytes() == gm.values[::2].tobytes()
+    assert peak <= 1.25 * rows.values.nbytes, peak / rows.values.nbytes
 
 
 def test_affine_adds_bias_in_place():

@@ -10,7 +10,7 @@ from fourierdg import FourierDGError, TrainingDivergedError
 from fourierdg.data import select_hvg, zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
-from fourierdg.model import checkpoint_to_json, init_params
+from fourierdg.model import GrlConfig, batch_objective, checkpoint_to_json, init_params
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import RngState
 from fourierdg.train import (
@@ -236,6 +236,40 @@ class TestFit:
             TrainingDivergedError, match=r"epoch 1: non-finite training scores"
         ):
             fit(gm, metas, cfg)
+
+    def test_trained_model_holds_no_gradient(self, monkeypatch):
+        stepped = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, values, grads, lr):
+                super().__init__(values, grads, lr)
+                stepped.append(grads)
+
+        monkeypatch.setattr("fourierdg.train.Adam", RecordingAdam)
+        gm, metas = tiny_data()
+        cfg = TrainConfig(**TINY)
+        params, _ = fit(gm, metas, cfg)
+        assert len(stepped) == 1 and stepped[0].any()
+        assert not params.grads.any()
+        assert not np.shares_memory(params.grads, stepped[0])
+        offset = 0
+        for t in params.trainables():
+            assert t.grad.base is params.grads and t.grad.shape == t.value.shape
+            assert np.shares_memory(t.grad, params.grads[offset: offset + t.grad.size])
+            offset += t.grad.size
+        assert offset == params.grads.size
+        # the returned model can be trained further through its new arena
+        idx = np.arange(cfg.batch_size)
+        responses = np.array([m.response for m in metas])[idx]
+        domains = np.array([int(m.domain[1:]) for m in metas])[idx]
+        _, backward = batch_objective(
+            gm.values[idx], responses, domains, params, GrlConfig(1.0), 1.0, 1.0
+        )
+        backward()
+        assert params.w1.grad.any() and params.clf_b.grad.any()
+        before = params.values.copy()
+        Adam(params.values, params.grads, cfg.lr).step()
+        assert not np.array_equal(params.values, before)
 
     def test_single_domain_rejected(self):
         gm, metas = tiny_data()
