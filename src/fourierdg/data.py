@@ -18,10 +18,10 @@ binary: 1 = drug-sensitive, 0 = resistant.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class SampleMeta:
             raise ParameterError(
                 f"sample {self.sample_id!r}: response must be 0 or 1"
             )
+        if self.ic50 is not None and not math.isfinite(self.ic50):
+            raise ParameterError(f"sample {self.sample_id!r}: ic50 must be finite")
 
 
 @dataclass
@@ -91,15 +93,27 @@ def _detect_delimiter(header_line: str) -> str:
 _OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _read_lines(path) -> list[tuple[int, str]]:
-    """The non-blank lines with their 1-based line numbers in the file."""
-    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-    text = Path(path).read_text(encoding="utf-8-sig")
-    return [
-        (lineno, ln)
-        for lineno, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() != ""
-    ]
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a text file with their 1-based line numbers,
+    split and numbered as ``str.splitlines`` would, read one at a time."""
+    lineno = 0
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+        with open(path, encoding="utf-8-sig") as fh:
+            for line in fh:
+                if any(c in line for c in _OTHER_LINE_BREAKS):
+                    parts = line.splitlines()
+                else:
+                    parts = (line.rstrip("\n"),)
+                for part in parts:
+                    lineno += 1
+                    if part.strip():
+                        yield lineno, part
+    except UnicodeDecodeError as e:
+        # decoding reads ahead, so the lines read so far do not place the byte
+        raise ParseError(
+            f"{path}: not UTF-8 text: cannot decode byte 0x{e.object[e.start]:02x}"
+        ) from None
 
 
 def _parse_float(cell: str, lineno: int, context: str) -> float:
@@ -112,14 +126,11 @@ def _parse_float(cell: str, lineno: int, context: str) -> float:
     return value
 
 
-def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
+def _expression_header(lineno: int, line: str) -> tuple[str, list[str]]:
     """Delimiter and gene names of an expression table's header line."""
-    if not lines:
-        raise ParseError("line 1: empty expression file")
-    lineno, line = lines[0]
     delim = _detect_delimiter(line)
     header = [c.strip() for c in line.split(delim)]
-    if not header or header[0] != "sample_id":
+    if header[0] != "sample_id":
         raise ParseError(f"line {lineno}: first header field must be 'sample_id'")
     gene_names = header[1:]
     if "" in gene_names:
@@ -132,89 +143,46 @@ def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
     return delim, gene_names
 
 
-def _parse_stream(path) -> Optional[tuple[list[str], list[str], np.ndarray]]:
-    """Row-by-row parse straight from the file, with no per-cell checks.
+def load_expression(path) -> GeneMatrix:
+    """Parse an expression table; raises ParseError naming the first bad line.
 
-    Returns ``(gene_names, sample_ids, values)``, or None on any problem.
-    Each row's values go straight into one growing float64 buffer, so the
-    file text is never held whole.  A cell that ``float`` reads as it
-    stands reads the same once stripped, so every value equals the one
-    :func:`_parse_rows_checked` gives for the same cell.  A line holding a
-    break that ``str.splitlines`` splits on but file iteration does not is
-    a problem too: the two parsers would split and number it differently.
+    Rows go from the open file straight into one growing float64 buffer, so
+    neither the file text nor a Python float per cell is ever held.  Each
+    row is read whole with ``float``; only a row that read rejects, or that
+    holds a non-finite value, is checked cell by cell to name the problem.
     """
-    gene_names: Optional[list[str]] = None
-    sample_ids: list[str] = []
-    values = array("d")
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if any(c in line for c in _OTHER_LINE_BREAKS):
-                    return None
-                if line.strip() == "":
-                    continue
-                if gene_names is None:
-                    delim, gene_names = _expression_header([(lineno, line)])
-                    continue
-                sid, _, rest = line.partition(delim)
-                cells = rest.split(delim)
-                if len(cells) != len(gene_names):
-                    return None
-                sample_ids.append(sid.strip())
-                values.extend(map(float, cells))
-    except (ParseError, ValueError):  # UnicodeDecodeError is a ValueError
-        return None
-    if gene_names is None:
-        return None
-    shape = (len(sample_ids), len(gene_names))
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(shape)
-    if len(set(sample_ids)) != len(sample_ids) or not np.isfinite(matrix).all():
-        return None
-    return gene_names, sample_ids, matrix
-
-
-def _parse_rows_checked(
-    rows: list[tuple[int, str]], delim: str, gene_names: list[str]
-) -> tuple[list[str], np.ndarray]:
-    """Line-by-line parse; raises ParseError naming the first bad line."""
-    n_fields = len(gene_names) + 1
+    lines = _lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("line 1: empty expression file")
+    delim, gene_names = _expression_header(*first)
     sample_ids: list[str] = []
     seen: set[str] = set()
-    values: list[list[float]] = []
-    for lineno, line in rows:
-        cells = [c.strip() for c in line.split(delim)]
-        if len(cells) != n_fields:
+    values = array("d")
+    for lineno, line in lines:
+        sid, sep, rest = line.partition(delim)
+        cells = rest.split(delim) if sep else []
+        if len(cells) != len(gene_names):
             raise ParseError(
-                f"line {lineno}: expected {n_fields} fields, got {len(cells)}"
+                f"line {lineno}: expected {len(gene_names) + 1} fields, "
+                f"got {len(cells) + 1}"
             )
-        sid = cells[0]
+        sid = sid.strip()
         if sid in seen:
             raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
         seen.add(sid)
         sample_ids.append(sid)
-        values.append(
-            [_parse_float(c, lineno, f"for gene {g!r}")
-             for c, g in zip(cells[1:], gene_names)]
-        )
-    matrix = np.asarray(values, dtype=np.float64).reshape(len(sample_ids), len(gene_names))
-    return sample_ids, matrix
-
-
-def load_expression(path) -> GeneMatrix:
-    """Parse an expression table; raises ParseError with a line number.
-
-    The table is parsed row by row from the open file first; only when that
-    finds a problem does the line-by-line parser read it again, to name
-    the line.
-    """
-    parsed = _parse_stream(path)
-    if parsed is None:
-        lines = _read_lines(path)
-        delim, gene_names = _expression_header(lines)
-        sample_ids, values = _parse_rows_checked(lines[1:], delim, gene_names)
-    else:
-        gene_names, sample_ids, values = parsed
-    return GeneMatrix(sample_ids, gene_names, values)
+        start = len(values)
+        try:
+            values.extend(map(float, cells))
+            finite = np.isfinite(np.frombuffer(values, offset=8 * start)).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            for cell, gene in zip(cells, gene_names):
+                _parse_float(cell.strip(), lineno, f"for gene {gene!r}")
+    shape = (len(sample_ids), len(gene_names))
+    return GeneMatrix(sample_ids, gene_names, np.frombuffer(values).reshape(shape))
 
 
 def _check_names(kind: str, names, delimiter: str):
@@ -247,10 +215,11 @@ META_HEADER = ["sample_id", "domain", "ic50", "response"]
 
 def load_metadata(path) -> list[SampleMeta]:
     """Parse the sample_id,domain,ic50,response table."""
-    lines = _read_lines(path)
-    if not lines:
+    lines = _lines(path)
+    first = next(lines, None)
+    if first is None:
         raise ParseError("line 1: empty metadata file")
-    header_lineno, header_line = lines[0]
+    header_lineno, header_line = first
     delim = _detect_delimiter(header_line)
     header = [c.strip() for c in header_line.split(delim)]
     if header != META_HEADER:
@@ -259,7 +228,7 @@ def load_metadata(path) -> list[SampleMeta]:
         )
     metas: list[SampleMeta] = []
     seen: set[str] = set()
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         cells = [c.strip() for c in line.split(delim)]
         if len(cells) != 4:
             raise ParseError(f"line {lineno}: expected 4 fields, got {len(cells)}")

@@ -79,6 +79,19 @@ class TestValidation:
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["--expr", "--meta"])
+    def test_non_utf8_input_is_validation_error(self, dataset, tmp_path, capsys, which):
+        expr, meta = dataset
+        source = expr if which == "--expr" else meta
+        bad = tmp_path / source.name
+        bad.write_bytes(source.read_bytes().replace(b"\n", b"\ncaf\xe9", 1))
+        args = train_args(expr, meta, tmp_path, "latin1")
+        args[args.index(which) + 1] = str(bad)
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not UTF-8 text: cannot decode byte 0xe9\n"
+        assert not (tmp_path / "ck_latin1.json").exists()
+
     def test_diverged_training_is_runtime_failure(self, dataset, tmp_path, capsys):
         expr, meta = dataset
         rc = run(train_args(expr, meta, tmp_path, "diverge", ["--lr", "1e300"]))

@@ -1,9 +1,10 @@
 """Parsing, preprocessing, and split behavior of the data layer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fourierdg import data
 from fourierdg.data import (
     GeneMatrix,
     SampleMeta,
@@ -76,64 +77,74 @@ class TestLoadExpression:
         assert np.array_equal(back.values, gm.values)
 
 
-# (id, file text, expected outcome: None to parse, else the ParseError
-# text, and whether the streaming parser alone accepts the file)
+# (id, file text, expected outcome: None to parse, else the ParseError text)
 PARSER_CASES = [
-    ("plain", "sample_id,g1,g2\ns1,1,2\ns2,3.5,-4e-3\n", None, True),
-    ("tsv", "sample_id\tg1\tg2\ns1\t1\t2\ns2\t3\t4\n", None, True),
+    ("plain", "sample_id,g1,g2\ns1,1,2\ns2,3.5,-4e-3\n", None),
+    ("tsv", "sample_id\tg1\tg2\ns1\t1\t2\ns2\t3\t4\n", None),
     ("tsv-comma-cell", "sample_id\tg1\ns1\t1,5\n",
-     "line 2: non-numeric value '1,5' for gene 'g1'", False),
-    ("padded-cells", "sample_id , g1 ,g2\n  s1 ,  1.5 , 2 \n s2,3 , 4\n", None, True),
-    ("underscore-digits", "sample_id,g1\ns1,1_0\n", None, True),
-    ("header-only", "sample_id,g1,g2\n", None, True),
-    ("no-genes", "sample_id\ns1\ns2\n", None, False),
+     "line 2: non-numeric value '1,5' for gene 'g1'"),
+    ("padded-cells", "sample_id , g1 ,g2\n  s1 ,  1.5 , 2 \n s2,3 , 4\n", None),
+    ("underscore-digits", "sample_id,g1\ns1,1_0\n", None),
+    ("header-only", "sample_id,g1,g2\n", None),
+    ("no-genes", "sample_id\ns1\ns2\n", None),
     ("trailing-delimiter", "sample_id,g1,g2,\ns1,1,2,\n",
-     "line 1: empty gene name in header field 4", False),
+     "line 1: empty gene name in header field 4"),
     ("trailing-delimiter-rows", "sample_id,g1,g2\ns1,1,2,\n",
-     "line 2: expected 3 fields, got 4", False),
+     "line 2: expected 3 fields, got 4"),
     ("quoted-header", '"sample_id","g1"\ns1,1\n',
-     "line 1: first header field must be 'sample_id'", False),
+     "line 1: first header field must be 'sample_id'"),
     ("quoted-cell", 'sample_id,g1\ns1,"1"\n',
-     "line 2: non-numeric value '\"1\"' for gene 'g1'", False),
+     "line 2: non-numeric value '\"1\"' for gene 'g1'"),
     ("nan", "sample_id,g1,g2\ns1,1,2\ns2,nan,2\n",
-     "line 3: non-finite value 'nan' for gene 'g1'", False),
+     "line 3: non-finite value 'nan' for gene 'g1'"),
     ("inf", "sample_id,g1,g2\ns1,1,-inf\n",
-     "line 2: non-finite value '-inf' for gene 'g2'", False),
+     "line 2: non-finite value '-inf' for gene 'g2'"),
     ("overflow", "sample_id,g1\ns1,1e400\n",
-     "line 2: non-finite value '1e400' for gene 'g1'", False),
+     "line 2: non-finite value '1e400' for gene 'g1'"),
     ("ragged", "sample_id,g1,g2\ns1,1,2\ns2,1\n",
-     "line 3: expected 3 fields, got 2", False),
+     "line 3: expected 3 fields, got 2"),
     ("first-error-wins", "sample_id,g1,g2\ns1,x,2\ns2,1\n",
-     "line 2: non-numeric value 'x' for gene 'g1'", False),
+     "line 2: non-numeric value 'x' for gene 'g1'"),
     ("duplicate-sample", "sample_id,g1\ns1,1\ns2,2\n s1 ,3\n",
-     "line 4: duplicate sample_id 's1'", False),
+     "line 4: duplicate sample_id 's1'"),
     ("duplicate-gene", "sample_id,g1,g1\ns1,1,2\n",
-     "line 1: duplicate gene names in header", False),
-    ("empty", "", "line 1: empty expression file", False),
-    ("blank-only", "\n  \n", "line 1: empty expression file", False),
-    ("blank-lines-skipped", "sample_id,g1\n\ns1,1\n  \ns2,2\n", None, True),
+     "line 1: duplicate gene names in header"),
+    ("empty", "", "line 1: empty expression file"),
+    ("blank-only", "\n  \n", "line 1: empty expression file"),
+    ("blank-lines-skipped", "sample_id,g1\n\ns1,1\n  \ns2,2\n", None),
     ("blank-line-before-bad-row", "sample_id,g1\n\ns1,abc\n",
-     "line 3: non-numeric value 'abc' for gene 'g1'", False),
+     "line 3: non-numeric value 'abc' for gene 'g1'"),
     ("blank-lines-before-ragged-row", "sample_id,g1,g2\ns1,1,2\n\n\ns2,1\n",
-     "line 5: expected 3 fields, got 2", False),
+     "line 5: expected 3 fields, got 2"),
     ("blank-line-before-bad-header", "\nsample_id,g1,g1\ns1,1,2\n",
-     "line 2: duplicate gene names in header", False),
-    ("cr-line-ends", "sample_id,g1,g2\rs1,1,2\rs2,3,4\r", None, True),
+     "line 2: duplicate gene names in header"),
+    ("cr-line-ends", "sample_id,g1,g2\rs1,1,2\rs2,3,4\r", None),
     ("cr-line-ends-bad-row", "sample_id,g1\rs1,1\r\rs2,x\r",
-     "line 4: non-numeric value 'x' for gene 'g1'", False),
+     "line 4: non-numeric value 'x' for gene 'g1'"),
     # str.splitlines also breaks lines at these; file iteration does not
     ("form-feed-in-row", "sample_id,g1,g2\ns1,1\x0c,2\n",
-     "line 2: expected 3 fields, got 2", False),
-    ("file-separator-in-row", "sample_id,g1\ns1,1\x1cs2,2\n", None, False),
-    ("next-line-in-row", "sample_id,g1,g2\ns1,1,2\x85\ns2,3,4\n", None, False),
+     "line 2: expected 3 fields, got 2"),
+    ("file-separator-in-row", "sample_id,g1\ns1,1\x1cs2,2\n", None),
+    ("next-line-in-row", "sample_id,g1,g2\ns1,1,2\x85\ns2,3,4\n", None),
     ("line-separator-in-row", "sample_id,g1,g2\ns1,1,\u20282\ns2,3,4\n",
-     "line 2: non-numeric value '' for gene 'g2'", False),
+     "line 2: non-numeric value '' for gene 'g2'"),
     ("line-separator-in-header", "sample_id,g1\u2028g2\ns1,1\n",
-     "line 2: expected 2 fields, got 1", False),
-    ("header-only-no-final-newline", "sample_id,g1,g2", None, True),
-    ("no-final-newline", "sample_id,g1,g2\ns1,1,2\ns2,3,4", None, True),
+     "line 2: expected 2 fields, got 1"),
+    ("header-only-no-final-newline", "sample_id,g1,g2", None),
+    ("no-final-newline", "sample_id,g1,g2\ns1,1,2\ns2,3,4", None),
     ("no-final-newline-bad-row", "sample_id,g1,g2\ns1,1,2\ns2,3",
-     "line 3: expected 3 fields, got 2", False),
+     "line 3: expected 3 fields, got 2"),
+    # the first error in file order wins, and within a row the first cell
+    ("non-finite-before-ragged", "sample_id,g1,g2\ns1,nan,2\ns2,1\n",
+     "line 2: non-finite value 'nan' for gene 'g1'"),
+    ("duplicate-before-bad-cell", "sample_id,g1\ns1,1\ns1,x\n",
+     "line 3: duplicate sample_id 's1'"),
+    ("non-finite-before-non-numeric", "sample_id,g1,g2\ns1,inf,x\n",
+     "line 2: non-finite value 'inf' for gene 'g1'"),
+    ("non-numeric-before-non-finite", "sample_id,g1,g2\ns1,x,inf\n",
+     "line 2: non-numeric value 'x' for gene 'g1'"),
+    ("large-finite-values", "sample_id,g1,g2\ns1,1e308,1e308\ns2,-1.7e308,1.7e308\n",
+     None),
 ]
 
 # (id, metadata file text, expected ParseError text)
@@ -146,6 +157,14 @@ METADATA_CASES = [
      "line 5: duplicate sample_id 's1'"),
     ("blank-line-before-bad-header", "\nsample_id,domain,resp\ns1,lung,1\n",
      "line 2: metadata header must be sample_id,domain,ic50,response"),
+    ("cr-line-ends",
+     "sample_id,domain,ic50,response\rs1,lung,0.5,\r\rs2,skin,,2\r",
+     "line 4: response must be 0 or 1, got '2'"),
+    ("form-feed-in-row", "sample_id,domain,ic50,response\ns1,lung,0.5\x0c,1\n",
+     "line 2: expected 4 fields, got 3"),
+    ("line-separator-in-row",
+     "sample_id,domain,ic50,response\ns1,lung,0.5,\u2028s1,skin,,1\n",
+     "line 3: duplicate sample_id 's1'"),
 ]
 
 
@@ -157,11 +176,86 @@ def parse_outcome(parse, path):
     return gm.sample_ids, gm.gene_names, gm.values.shape, gm.values.tobytes()
 
 
+# The oracle load_expression must agree with: it reads the whole text,
+# splits it with str.splitlines and checks every cell on its own.
+
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines with their 1-based line numbers in the file."""
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    text = Path(path).read_text(encoding="utf-8-sig")
+    return [
+        (lineno, ln)
+        for lineno, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() != ""
+    ]
+
+
+def _detect_delimiter(header_line: str) -> str:
+    return "\t" if "\t" in header_line else ","
+
+
+def _parse_float(cell: str, lineno: int, context: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-numeric value {cell!r} {context}")
+    if not np.isfinite(value):
+        raise ParseError(f"line {lineno}: non-finite value {cell!r} {context}")
+    return value
+
+
+def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
+    """Delimiter and gene names of an expression table's header line."""
+    if not lines:
+        raise ParseError("line 1: empty expression file")
+    lineno, line = lines[0]
+    delim = _detect_delimiter(line)
+    header = [c.strip() for c in line.split(delim)]
+    if not header or header[0] != "sample_id":
+        raise ParseError(f"line {lineno}: first header field must be 'sample_id'")
+    gene_names = header[1:]
+    if "" in gene_names:
+        raise ParseError(
+            f"line {lineno}: empty gene name in header field "
+            f"{gene_names.index('') + 2}"
+        )
+    if len(set(gene_names)) != len(gene_names):
+        raise ParseError(f"line {lineno}: duplicate gene names in header")
+    return delim, gene_names
+
+
+def _parse_rows_checked(
+    rows: list[tuple[int, str]], delim: str, gene_names: list[str]
+) -> tuple[list[str], np.ndarray]:
+    """Line-by-line parse; raises ParseError naming the first bad line."""
+    n_fields = len(gene_names) + 1
+    sample_ids: list[str] = []
+    seen: set[str] = set()
+    values: list[list[float]] = []
+    for lineno, line in rows:
+        cells = [c.strip() for c in line.split(delim)]
+        if len(cells) != n_fields:
+            raise ParseError(
+                f"line {lineno}: expected {n_fields} fields, got {len(cells)}"
+            )
+        sid = cells[0]
+        if sid in seen:
+            raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
+        seen.add(sid)
+        sample_ids.append(sid)
+        values.append(
+            [_parse_float(c, lineno, f"for gene {g!r}")
+             for c, g in zip(cells[1:], gene_names)]
+        )
+    matrix = np.asarray(values, dtype=np.float64).reshape(len(sample_ids), len(gene_names))
+    return sample_ids, matrix
+
+
 def parse_checked(path):
-    """The line-by-line parser alone, without the one-pass attempt."""
-    lines = data._read_lines(path)
-    delim, gene_names = data._expression_header(lines)
-    sample_ids, values = data._parse_rows_checked(lines[1:], delim, gene_names)
+    """The oracle: the whole-text, cell-by-cell parse."""
+    lines = _read_lines(path)
+    delim, gene_names = _expression_header(lines)
+    sample_ids, values = _parse_rows_checked(lines[1:], delim, gene_names)
     return GeneMatrix(sample_ids, gene_names, values)
 
 
@@ -169,10 +263,10 @@ class TestParserCases:
     """load_expression must agree exactly with the line-by-line parser."""
 
     @pytest.mark.parametrize(
-        "text,expected,fast", [c[1:] for c in PARSER_CASES],
+        "text,expected", [c[1:] for c in PARSER_CASES],
         ids=[c[0] for c in PARSER_CASES],
     )
-    def test_same_result_as_checked_parser(self, tmp_path, text, expected, fast):
+    def test_same_result_as_checked_parser(self, tmp_path, text, expected):
         path = write(tmp_path, "e.csv", text)
         got = parse_outcome(load_expression, path)
         assert got == parse_outcome(parse_checked, path)
@@ -180,7 +274,6 @@ class TestParserCases:
             assert not isinstance(got, str), got
         else:
             assert got == expected
-        assert (data._parse_stream(path) is not None) == fast
 
     @pytest.mark.parametrize(
         "text,expected", [c[1:] for c in METADATA_CASES],
@@ -342,6 +435,36 @@ class TestEncodingVariants:
         assert load_metadata(path) == metas
 
 
+def latin1_table(path, header, row, bad_line, n_lines):
+    """``n_lines`` lines of ``header`` then ``row`` filled with ``s{i}``,
+    where line ``bad_line`` holds a Latin-1 e-acute, not valid UTF-8."""
+    lines = [header] + [row.format(f"s{i}") for i in range(2, n_lines + 1)]
+    lines[bad_line - 1] = lines[bad_line - 1].replace("s", "caf\xe9", 1)
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    return path
+
+
+class TestNonUtf8:
+    """Decoding reads ahead of the lines handed out, so a bad byte is
+    reported without a line number rather than with a wrong one."""
+
+    @pytest.mark.parametrize("bad_line", [1, 3, 5002])
+    def test_expression(self, tmp_path, bad_line):
+        path = latin1_table(tmp_path / "e.csv", "sample_id,g1", "{},1.5",
+                            bad_line, 6000)
+        with pytest.raises(ParseError) as err:
+            load_expression(path)
+        assert str(err.value) == f"{path}: not UTF-8 text: cannot decode byte 0xe9"
+
+    @pytest.mark.parametrize("bad_line", [1, 3, 5002])
+    def test_metadata(self, tmp_path, bad_line):
+        path = latin1_table(tmp_path / "m.csv", "sample_id,domain,ic50,response",
+                            "{},lung,0.5,", bad_line, 6000)
+        with pytest.raises(ParseError) as err:
+            load_metadata(path)
+        assert str(err.value) == f"{path}: not UTF-8 text: cannot decode byte 0xe9"
+
+
 class TestMatchMetadata:
     def test_reorders_and_drops_extras(self):
         gm = GeneMatrix(["b", "a"], ["g"], np.zeros((2, 1)))
@@ -440,6 +563,12 @@ class TestBinarizeIc50:
         metas = self._metas([1.0, 3.0])
         binarize_ic50(metas)
         assert all(m.response is None for m in metas)
+
+    @pytest.mark.parametrize("ic50", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ic50_rejected_before_binarizing(self, ic50):
+        # a NaN cohort mean would label every sample resistant
+        with pytest.raises(ParameterError, match="sample 'a': ic50 must be finite"):
+            SampleMeta("a", "A", ic50)
 
 
 class TestZscore:
