@@ -38,7 +38,7 @@ domains = np.array([0, 1, 2, 0, 1, 2])
 def encoder_grads_from_adversary(grl):
     work = params.copy()
     tapes = ForwardTapes()
-    _, _, logits = forward_full(x, work, grl, "train", dropout_p=0.0, tapes=tapes)
+    _, _, logits = forward_full(x, work, grl, tapes)
     _, dlogits = domain_adversarial_loss(logits, domains)
     for t in work.trainables():
         t.zero_grad()

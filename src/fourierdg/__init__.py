@@ -47,7 +47,6 @@ from .model import (
     encode,
     forward_full,
     gradient_suite,
-    grl_backward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -69,8 +68,8 @@ __all__ = [
     "LossBreakdown", "asymmetric_loss", "attention_diagnostic",
     "classification_loss", "domain_adversarial_loss", "total_loss",
     "Checkpoint", "GrlConfig", "ModelParams", "checkpoint_to_json", "encode",
-    "forward_full", "gradient_suite", "grl_backward", "init_params",
-    "load_checkpoint", "save_checkpoint",
+    "forward_full", "gradient_suite", "init_params", "load_checkpoint",
+    "save_checkpoint",
     "SynthConfig", "generate",
     "GradTape", "Param", "RngState", "grad_check",
     "EpochLog", "TrainConfig", "fit", "make_batches", "predict",

@@ -30,11 +30,10 @@ from .errors import FourierDGError, ParameterError, TrainingDivergedError
 from .model import encode, gradient_suite, load_checkpoint, save_checkpoint
 from .train import TrainConfig, predict, train_checkpoint, write_log_csv
 
-SEED_ENV_VAR = "FOURIERDG_SEED"
 GRADCHECK_TOL = 1e-4
 
 # (flag, TrainConfig field) for every training option but the seed, which
-# --seed resolves; defaults and types come from TrainConfig().
+# --seed sets; defaults and types come from TrainConfig().
 TRAIN_FLAGS = (
     ("--lambda1", "lambda1"),
     ("--lambda2", "lambda2"),
@@ -65,21 +64,9 @@ def _print_resolved(command: str, args: argparse.Namespace, **extra):
     print(f"config: command={command} {pairs}")
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
-
-
 def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--hvg", type=int, default=3000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     defaults = TrainConfig()
     for flag, field in TRAIN_FLAGS:
         default = getattr(defaults, field)
@@ -127,16 +114,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out-table", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of gradients")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     # argparse's dest for --enc-hidden is enc_hidden
     fields = {field: getattr(args, flag[2:].replace("-", "_"))
               for flag, field in TRAIN_FLAGS}
-    cfg = TrainConfig(seed=seed, **fields)
+    cfg = TrainConfig(seed=args.seed, **fields)
     cfg.validate()
     return cfg
 
@@ -179,8 +166,8 @@ def _cmd_synth(args) -> int:
     fields = {}
     if args.config is not None:
         fields = _read_synth_config(args.config)
-    if args.seed is not None or "seed" not in fields:
-        fields["seed"] = _resolve_seed(args.seed)
+    if args.seed is not None:
+        fields["seed"] = args.seed
     cfg = synth.SynthConfig(**fields)
     cfg.validate()
     _print_resolved("synth", args, **asdict(cfg))
@@ -192,9 +179,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _train_config(args, seed)
-    _print_resolved("train", args, seed=seed)
+    cfg = _train_config(args)
+    _print_resolved("train", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     ckpt, logs = train_checkpoint(gm, metas, cfg, hvg=k)
@@ -227,9 +213,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_lodo(args) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _train_config(args, seed)
-    _print_resolved("lodo", args, seed=seed)
+    cfg = _train_config(args)
+    _print_resolved("lodo", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     report = evaluate.lodo_run(gm, metas, cfg, args.min_test_per_class, hvg=k)
@@ -248,13 +233,12 @@ def _cmd_lodo(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    cfg = _train_config(args, seed)
+    cfg = _train_config(args)
     try:
         seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParameterError(f"seeds must be comma-separated integers, got {args.seeds!r}")
-    _print_resolved("ablate", args, seed=seed)
+    _print_resolved("ablate", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     result = evaluate.ablate_faac(gm, metas, cfg, seeds, args.min_test_per_class, hvg=k)
@@ -267,9 +251,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _print_resolved("gradcheck", args, seed=seed)
-    err = gradient_suite(seed=seed)
+    _print_resolved("gradcheck", args)
+    err = gradient_suite(seed=args.seed)
     print(f"max_rel_err={err!r}")
     if err >= GRADCHECK_TOL:
         print(f"error: gradient mismatch exceeds {GRADCHECK_TOL}", file=sys.stderr)

@@ -3,7 +3,7 @@
 File formats
 ------------
 Expression (CSV or TSV, delimiter auto-detected from the header line, tab
-preferred when present)::
+preferred when present; the writers emit CSV)::
 
     sample_id,geneA,geneB,...
     s1,0.5,1.2,...
@@ -18,6 +18,7 @@ binary: 1 = drug-sensitive, 0 = resistant.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -112,8 +113,19 @@ def _lines(path) -> Iterator[tuple[int, str]]:
     except UnicodeDecodeError as e:
         # decoding reads ahead, so the lines read so far do not place the byte
         raise ParseError(
-            f"{path}: not UTF-8 text: cannot decode byte 0x{e.object[e.start]:02x}"
+            f"not UTF-8 text: cannot decode byte 0x{e.object[e.start]:02x}"
         ) from None
+
+
+def _naming_path(load):
+    """``load(path)``, with the path put before each ParseError message."""
+    @functools.wraps(load)
+    def load_named(path):
+        try:
+            return load(path)
+        except ParseError as e:
+            raise ParseError(f"{path}: {e}") from None
+    return load_named
 
 
 def _parse_float(cell: str, lineno: int, context: str) -> float:
@@ -143,8 +155,10 @@ def _expression_header(lineno: int, line: str) -> tuple[str, list[str]]:
     return delim, gene_names
 
 
+@_naming_path
 def load_expression(path) -> GeneMatrix:
-    """Parse an expression table; raises ParseError naming the first bad line.
+    """Parse an expression table; raises ParseError naming the file and its
+    first bad line.
 
     Rows go from the open file straight into one growing float64 buffer, so
     neither the file text nor a Python float per cell is ever held.  Each
@@ -185,34 +199,38 @@ def load_expression(path) -> GeneMatrix:
     return GeneMatrix(sample_ids, gene_names, np.frombuffer(values).reshape(shape))
 
 
-def _check_names(kind: str, names, delimiter: str):
-    """Raise ParameterError for a name that would not read back unchanged:
-    one holding the delimiter or a line break, or padded with whitespace."""
+def _check_names(kind: str, names):
+    """Raise ParameterError for a name that would not read back unchanged
+    from a CSV table: one holding a comma, a line break or a tab (a tab in
+    the header would make it read as TSV), or padded with whitespace."""
     breaks = "\r\n" + _OTHER_LINE_BREAKS
     for name in names:
-        if delimiter in name:
-            problem = f"contains the delimiter {delimiter!r}"
+        if "," in name:
+            problem = "contains the delimiter ','"
         elif any(c in name for c in breaks):
             problem = "contains a line break"
         elif name != name.strip():
             problem = "has leading or trailing whitespace"
+        elif "\t" in name:
+            problem = "contains the delimiter '\\t'"
         else:
             continue
         raise ParameterError(f"{kind} {name!r} {problem}; it would not read back")
 
 
-def write_expression(path, gm: GeneMatrix, delimiter: str = ","):
-    _check_names("sample id", gm.sample_ids, delimiter)
-    _check_names("gene name", gm.gene_names, delimiter)
+def write_expression(path, gm: GeneMatrix):
+    _check_names("sample id", gm.sample_ids)
+    _check_names("gene name", gm.gene_names)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(["sample_id"] + gm.gene_names) + "\n")
+        fh.write(",".join(["sample_id"] + gm.gene_names) + "\n")
         for sid, row in zip(gm.sample_ids, gm.values):
-            fh.write(delimiter.join([sid, *map(repr, row.tolist())]) + "\n")
+            fh.write(",".join([sid, *map(repr, row.tolist())]) + "\n")
 
 
 META_HEADER = ["sample_id", "domain", "ic50", "response"]
 
 
+@_naming_path
 def load_metadata(path) -> list[SampleMeta]:
     """Parse the sample_id,domain,ic50,response table."""
     lines = _lines(path)
@@ -252,11 +270,11 @@ def load_metadata(path) -> list[SampleMeta]:
     return metas
 
 
-def write_metadata(path, metas: Sequence[SampleMeta], delimiter: str = ","):
-    _check_names("sample id", [m.sample_id for m in metas], delimiter)
-    _check_names("domain", [m.domain for m in metas], delimiter)
+def write_metadata(path, metas: Sequence[SampleMeta]):
+    _check_names("sample id", [m.sample_id for m in metas])
+    _check_names("domain", [m.domain for m in metas])
     rows = ([m.sample_id, m.domain, m.ic50, m.response] for m in metas)
-    write_table(path, META_HEADER, rows, delimiter)
+    write_table(path, META_HEADER, rows)
 
 
 def _cell(value) -> str:
@@ -265,17 +283,17 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_table(path, header: Sequence[str], rows, delimiter: str = ","):
-    """Write a delimited text table, one row per item of ``rows``.
+def write_table(path, header: Sequence[str], rows):
+    """Write a CSV table, one row per item of ``rows``.
 
     A float cell (numpy floats included) is written with ``repr``, so it
     reads back as the same double; ``None`` is an empty cell; any other
     value is written with ``str``.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(delimiter.join(map(_cell, row)) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def match_metadata(gm: GeneMatrix, metas: Sequence[SampleMeta]) -> list[SampleMeta]:

@@ -57,15 +57,6 @@ class GrlConfig:
             )
 
 
-def grl_backward(upstream: Array, coefficient: float) -> Array:
-    """Reversal rule: forward identity, backward -coefficient * upstream."""
-    if not np.isfinite(coefficient) or coefficient < 0:
-        raise ParameterError(
-            f"GRL coefficient must be finite and >= 0, got {coefficient}"
-        )
-    return -coefficient * np.asarray(upstream, dtype=np.float64)
-
-
 @dataclass
 class ForwardTapes:
     """One tape per branch so head gradients can be merged at z."""
@@ -229,30 +220,28 @@ def forward_full(
     x: Array,
     params: ModelParams,
     grl: Optional[GrlConfig],
-    mode: str,
+    tapes: ForwardTapes,
     rng: Optional[RngState] = None,
     dropout_p: float = 0.0,
-    tapes: Optional[ForwardTapes] = None,
 ) -> tuple[Array, Array, Array]:
-    """Run the whole network.
+    """Train-mode forward of the whole network, recorded on ``tapes``.
 
     Returns (z, p_response, domain_logits) where z are the frequency
-    features feeding both heads.  ``grl=None`` omits the reversal record
-    entirely (forward output is identical either way).
+    features feeding both heads.  The discriminator tape starts with the
+    reversal layer of ``grl``, whose backward is -coefficient * upstream;
+    ``grl=None`` omits it (forward output is identical either way).
+    Scoring uses the eval-mode path of ``train._score``.
     """
-    enc_tape = tapes.encoder if tapes is not None else None
-    clf_tape = tapes.classifier if tapes is not None else None
-    disc_tape = tapes.discriminator if tapes is not None else None
+    h = encode(x, params, "train", rng, dropout_p, tapes.encoder)
+    z = fourier.project(h, params.basis, tapes.encoder)
 
-    h = encode(x, params, mode, rng, dropout_p, enc_tape)
-    z = fourier.project(h, params.basis, enc_tape)
+    logit = affine(z, params.clf_w, params.clf_b, tapes.classifier)
+    p = sigmoid(logit, tapes.classifier).ravel()
 
-    logit = affine(z, params.clf_w, params.clf_b, clf_tape)
-    p = sigmoid(logit, clf_tape).ravel()
-
-    if disc_tape is not None and grl is not None:
+    disc_tape = tapes.discriminator
+    if grl is not None:
         coeff = grl.coefficient
-        disc_tape.record(lambda dy: grl_backward(dy, coeff))
+        disc_tape.record(lambda dy: -coeff * dy)
     a = relu(affine(z, params.disc_w1, params.disc_b1, disc_tape), disc_tape)
     logits = affine(a, params.disc_w2, params.disc_b2, disc_tape)
     return z, p, logits
@@ -279,7 +268,7 @@ def batch_objective(
     ``backward`` runs once and then drops the batch's tapes and gradients.
     """
     tapes = ForwardTapes()
-    z, p, logits = forward_full(x, params, grl, "train", rng, dropout_p, tapes)
+    z, p, logits = forward_full(x, params, grl, tapes, rng, dropout_p)
     l_cls, dp = classification_loss(p, response)
     l_adv, dlogits = domain_adversarial_loss(logits, domain)
     l_asy, dz_asy = asymmetric_loss(z, response)[:2] if lambda1 != 0.0 else (0.0, None)
@@ -381,6 +370,12 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
     }
 
 
+def _distinct_names(value) -> bool:
+    """Whether a JSON value is a list of distinct strings."""
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value))
+
+
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
     """Rebuild a checkpoint of ``format_version`` 1 (nested lists) or 2."""
     if not isinstance(doc, dict):
@@ -395,17 +390,20 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             return _decode_array(raw[key], version)
 
         m_domains, d, domains = doc["M"], doc["d"], doc["domains"]
+        gene_list = doc["gene_list"]
         for key, value in (("M", m_domains), ("d", d)):
             if type(value) is not int:  # a JSON integer: bool and float are not
                 raise ParameterError(f"checkpoint field {key!r} must be an integer")
-        if not (isinstance(domains, list) and len(domains) == m_domains
-                and all(isinstance(name, str) for name in domains)
-                and len(set(domains)) == m_domains):
+        if not (_distinct_names(domains) and len(domains) == m_domains):
             raise ParameterError(
                 f"checkpoint field 'domains' must list {m_domains} distinct names"
             )
+        if not _distinct_names(gene_list):
+            raise ParameterError(
+                "checkpoint field 'gene_list' must list distinct gene names"
+            )
         params = ModelParams(
-            doc["gene_list"], m_domains,
+            gene_list, m_domains,
             hidden=arr("b1").size, d=d, disc_hidden=arr("disc_b1").size,
         )
         for slot, _, _ in ModelParams.TRAINABLES:
@@ -460,6 +458,11 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ParameterError(f"checkpoint is not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParameterError(
+            f"{path}: checkpoint is not UTF-8 text: cannot decode byte "
+            f"0x{e.object[e.start]:02x}"
+        ) from None
     return checkpoint_from_dict(doc)
 
 

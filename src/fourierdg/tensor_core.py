@@ -27,6 +27,7 @@ Array = np.ndarray
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
 BN_EPS = 1e-5
+FD_STEP = 1e-5  # central-difference step of grad_check
 
 
 class Param:
@@ -220,9 +221,12 @@ def batchnorm(
 
     Train mode normalizes by the batch mean and population variance and
     updates the running statistics; eval mode normalizes by the running
-    statistics.  Backward implements the standard batch-norm gradient.
+    statistics and records no backward.  Backward implements the standard
+    batch-norm gradient.
     """
     _check_mode(mode)
+    if mode == "eval" and tape is not None:
+        raise ParameterError("batchnorm records no backward in eval mode")
     m = x.shape[1]
     if gamma.value.shape != (m,) or beta.value.shape != (m,):
         raise DimensionError("gamma/beta must match the column count")
@@ -256,14 +260,6 @@ def batchnorm(
         inv = 1.0 / np.sqrt(state.var + BN_EPS)
         y = np.subtract(x, state.mean)
         y *= inv
-        if tape is not None:
-            xhat = y.copy()
-
-            def backward(dy):
-                gamma.grad += (dy * xhat).sum(axis=0)
-                beta.grad += dy.sum(axis=0)
-                return dy * gamma.value * inv
-            tape.record(backward)
         y *= gamma.value
         y += beta.value
     return y
@@ -294,15 +290,13 @@ def dropout(
     return y
 
 
-def grad_check(f, x0, h: float = 1e-5) -> float:
+def grad_check(f, x0) -> float:
     """Compare analytic gradients against central finite differences.
 
     ``f`` maps a 1-D parameter vector to ``(value, gradient)``.  Returns the
     max over coordinates of ``|analytic - fd| / max(1, |analytic|, |fd|)``
-    where ``fd = (f(x + h e) - f(x - h e)) / (2 h)``.
+    where ``fd = (f(x + h e) - f(x - h e)) / (2 h)`` and ``h = FD_STEP``.
     """
-    if h <= 0:
-        raise ParameterError(f"step h must be positive, got {h}")
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     value, grad = f(x0)
     grad = np.asarray(grad, dtype=np.float64).ravel()
@@ -313,12 +307,12 @@ def grad_check(f, x0, h: float = 1e-5) -> float:
     worst = 0.0
     for i in range(x0.size):
         step = np.zeros_like(x0)
-        step[i] = h
+        step[i] = FD_STEP
         fp, _ = f(x0 + step)
         fm, _ = f(x0 - step)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise EvaluationError(f"f is not finite near coordinate {i}")
-        fd = (fp - fm) / (2.0 * h)
+        fd = (fp - fm) / (2.0 * FD_STEP)
         a = grad[i]
         err = abs(a - fd) / max(1.0, abs(a), abs(fd))
         worst = max(worst, float(err))

@@ -92,6 +92,28 @@ class TestValidation:
         assert err == f"error: {bad}: not UTF-8 text: cannot decode byte 0xe9\n"
         assert not (tmp_path / "ck_latin1.json").exists()
 
+    def test_bad_metadata_row_names_the_file(self, dataset, tmp_path, capsys):
+        expr, meta = dataset
+        lines = meta.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",2\n"
+        bad = tmp_path / "meta.csv"
+        bad.write_text("".join(lines))
+        assert run(train_args(expr, bad, tmp_path, "badrow")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: response must be 0 or 1, got '2'\n"
+
+    def test_non_utf8_checkpoint_is_validation_error(self, dataset, tmp_path, capsys):
+        expr, _ = dataset
+        ckpt = tmp_path / "latin1.json"
+        ckpt.write_bytes(b'{"format_version": 2, "gene_list": ["caf\xe9"]}')
+        rc = run(["predict", "--expr", str(expr), "--checkpoint", str(ckpt),
+                  "--out-scores", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {ckpt}: checkpoint is not UTF-8 text: "
+                       f"cannot decode byte 0xe9\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_diverged_training_is_runtime_failure(self, dataset, tmp_path, capsys):
         expr, meta = dataset
         rc = run(train_args(expr, meta, tmp_path, "diverge", ["--lr", "1e300"]))
@@ -166,7 +188,7 @@ class TestTrainFlags:
             "train", "--expr", "e", "--meta", "m",
             "--out-checkpoint", "c", "--out-log", "l",
         ])
-        assert _train_config(args, 0) == TrainConfig(seed=0)
+        assert _train_config(args) == TrainConfig(seed=0)
 
 
 class TestResolvedConfig:
@@ -193,11 +215,14 @@ class TestResolvedConfig:
         out = capsys.readouterr().out
         assert any(ln.startswith("config: command=gradcheck") for ln in out.splitlines())
 
-    def test_env_seed_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("FOURIERDG_SEED", "77")
-        assert run(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "seed=77" in out
+    @pytest.mark.parametrize("argv", [
+        ["train", "--expr", "e", "--meta", "m", "--out-checkpoint", "c", "--out-log", "l"],
+        ["lodo", "--expr", "e", "--meta", "m", "--out-report", "r"],
+        ["ablate", "--expr", "e", "--meta", "m", "--out-table", "t"],
+        ["gradcheck"],
+    ], ids=["train", "lodo", "ablate", "gradcheck"])
+    def test_seed_defaults_to_zero(self, argv):
+        assert build_parser().parse_args(argv).seed == 0
 
 
 class TestRoundTrip:

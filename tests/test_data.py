@@ -252,10 +252,13 @@ def _parse_rows_checked(
 
 
 def parse_checked(path):
-    """The oracle: the whole-text, cell-by-cell parse."""
-    lines = _read_lines(path)
-    delim, gene_names = _expression_header(lines)
-    sample_ids, values = _parse_rows_checked(lines[1:], delim, gene_names)
+    """The oracle: the whole-text, cell-by-cell parse; errors name the file."""
+    try:
+        lines = _read_lines(path)
+        delim, gene_names = _expression_header(lines)
+        sample_ids, values = _parse_rows_checked(lines[1:], delim, gene_names)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
     return GeneMatrix(sample_ids, gene_names, values)
 
 
@@ -273,16 +276,17 @@ class TestParserCases:
         if expected is None:
             assert not isinstance(got, str), got
         else:
-            assert got == expected
+            assert got == f"{path}: {expected}"
 
     @pytest.mark.parametrize(
         "text,expected", [c[1:] for c in METADATA_CASES],
         ids=[c[0] for c in METADATA_CASES],
     )
     def test_metadata_line_numbers(self, tmp_path, text, expected):
+        path = write(tmp_path, "m.csv", text)
         with pytest.raises(ParseError) as err:
-            load_metadata(write(tmp_path, "m.csv", text))
-        assert str(err.value) == expected
+            load_metadata(path)
+        assert str(err.value) == f"{path}: {expected}"
 
     def test_padded_and_underscore_values(self, tmp_path):
         gm = load_expression(write(
@@ -298,30 +302,28 @@ WRITE_MATRIX = GeneMatrix(
 
 
 class TestWriteExpressionBytes:
-    @pytest.mark.parametrize("delimiter,expected", [
-        (",", "sample_id,g1,g2,g3\ns1,1e-07,-0.0,0.1\n"
-              "s2,1e+16,123456789.125,-2.5e-300\n"),
-        ("\t", "sample_id\tg1\tg2\tg3\ns1\t1e-07\t-0.0\t0.1\n"
-               "s2\t1e+16\t123456789.125\t-2.5e-300\n"),
-    ], ids=["csv", "tsv"])
-    def test_exact_bytes(self, tmp_path, delimiter, expected):
+    def test_exact_bytes(self, tmp_path):
         path = tmp_path / "out.txt"
-        write_expression(path, WRITE_MATRIX, delimiter)
-        assert path.read_bytes() == expected.encode("utf-8")
+        write_expression(path, WRITE_MATRIX)
+        assert path.read_bytes() == (
+            b"sample_id,g1,g2,g3\ns1,1e-07,-0.0,0.1\n"
+            b"s2,1e+16,123456789.125,-2.5e-300\n"
+        )
         back = load_expression(path)
         assert back.values.tobytes() == WRITE_MATRIX.values.tobytes()
 
 
-# (id, name, delimiter, expected ParameterError text after the name)
+# (id, name, expected ParameterError text after the name)
 UNREADABLE_NAMES = [
-    ("comma", "a,b", ",", "contains the delimiter ','"),
-    ("tab", "a\tb", "\t", "contains the delimiter '\\t'"),
-    ("newline", "a\nb", ",", "contains a line break"),
-    ("carriage-return", "a\rb", ",", "contains a line break"),
-    ("trailing-newline", "a\n", ",", "contains a line break"),
-    ("next-line", "a\x85b", ",", "contains a line break"),
-    ("leading-space", " a", ",", "has leading or trailing whitespace"),
-    ("trailing-tab", "a\t", ",", "has leading or trailing whitespace"),
+    ("comma", "a,b", "contains the delimiter ','"),
+    # a tab in the header line would make the file read back as TSV
+    ("tab", "a\tb", "contains the delimiter '\\t'"),
+    ("newline", "a\nb", "contains a line break"),
+    ("carriage-return", "a\rb", "contains a line break"),
+    ("trailing-newline", "a\n", "contains a line break"),
+    ("next-line", "a\x85b", "contains a line break"),
+    ("leading-space", " a", "has leading or trailing whitespace"),
+    ("trailing-tab", "a\t", "has leading or trailing whitespace"),
 ]
 
 
@@ -330,41 +332,44 @@ class TestWriterNames:
     or read back changed, before they open the file."""
 
     @pytest.mark.parametrize(
-        "name,delimiter,problem", [c[1:] for c in UNREADABLE_NAMES],
+        "name,problem", [c[1:] for c in UNREADABLE_NAMES],
         ids=[c[0] for c in UNREADABLE_NAMES],
     )
     @pytest.mark.parametrize("field", ["sample id", "gene name"])
-    def test_write_expression(self, tmp_path, field, name, delimiter, problem):
+    def test_write_expression(self, tmp_path, field, name, problem):
         ids, genes = ["s1", "s2"], ["g1", "g2"]
         (ids if field == "sample id" else genes)[1] = name
         gm = GeneMatrix(ids, genes, np.ones((2, 2)))
         path = tmp_path / "e.csv"
         with pytest.raises(ParameterError) as err:
-            write_expression(path, gm, delimiter)
+            write_expression(path, gm)
         assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "name,delimiter,problem", [c[1:] for c in UNREADABLE_NAMES],
+        "name,problem", [c[1:] for c in UNREADABLE_NAMES],
         ids=[c[0] for c in UNREADABLE_NAMES],
     )
     @pytest.mark.parametrize("field", ["sample id", "domain"])
-    def test_write_metadata(self, tmp_path, field, name, delimiter, problem):
+    def test_write_metadata(self, tmp_path, field, name, problem):
         metas = [SampleMeta("s1", "lung", 0.5),
                  SampleMeta(name, "skin", 1.5) if field == "sample id"
                  else SampleMeta("s2", name, 1.5)]
         path = tmp_path / "m.csv"
         with pytest.raises(ParameterError) as err:
-            write_metadata(path, metas, delimiter)
+            write_metadata(path, metas)
         assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
         assert not path.exists()
 
-    def test_other_delimiter_allowed(self, tmp_path):
-        gm = GeneMatrix(["a,b", "c d"], ["g,1"], np.array([[1.0], [2.0]]))
-        path = tmp_path / "e.tsv"
-        write_expression(path, gm, "\t")
-        back = load_expression(path)
+    def test_accepted_names_read_back(self, tmp_path):
+        names = ["c d", "a;b", 'q"t', "caf\u00e9", "a|b"]
+        gm = GeneMatrix(names, names[::-1], np.eye(len(names)))
+        metas = [SampleMeta(name, name, None, 1) for name in names]
+        write_expression(tmp_path / "e.csv", gm)
+        write_metadata(tmp_path / "m.csv", metas)
+        back = load_expression(tmp_path / "e.csv")
         assert back.sample_ids == gm.sample_ids and back.gene_names == gm.gene_names
+        assert load_metadata(tmp_path / "m.csv") == metas
 
 
 class TestLoadMetadata:

@@ -102,3 +102,36 @@ def test_guard_flags_an_unreferenced_definition():
         "b": ast.parse("from .a import used\nused()\n"),
     }
     assert unreferenced_definitions(trees, {"Kept"}) == ["a.dead"]
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.AST) -> list[str]:
+    """Each place ``tree`` reads the process environment through ``os``, so
+    that no hidden input can change what the package does."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"from os import {alias.name}")
+                      for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    return [f"line {lineno}: {what}" for lineno, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    reads = environment_reads(parse(path))
+    assert not reads, f"{path.name} reads the environment: {reads}"
+
+
+def test_guard_flags_an_environment_read():
+    tree = ast.parse(
+        "import os\nseed = os.environ.get('SEED')\nfrom os import getenv\n"
+        "os.path.join('a', 'b')\nos.makedirs('d')\nx = os.getenv('X')\n"
+    )
+    assert environment_reads(tree) == [
+        "line 2: os.environ", "line 3: from os import getenv", "line 6: os.getenv",
+    ]

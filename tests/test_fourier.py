@@ -98,7 +98,7 @@ class TestProject:
             grad = tape.backward(weight)
             return value, grad.ravel()
 
-        assert grad_check(f, rng.uniform(-1, 1, 12), h=1e-5) < 1e-4
+        assert grad_check(f, rng.uniform(-1, 1, 12)) < 1e-4
 
 
 class TestReconstruct:

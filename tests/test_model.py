@@ -22,7 +22,6 @@ from fourierdg.model import (
     encode,
     forward_full,
     gradient_suite,
-    grl_backward,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -155,14 +154,14 @@ class TestForwardFull:
     def test_probability_range(self):
         params = small_params()
         x = np.random.default_rng(2).standard_normal((6, 12))
-        _, p, _ = forward_full(x, params, GrlConfig(1.0), "eval")
+        _, p, _ = forward_full(x, params, GrlConfig(1.0), ForwardTapes())
         assert np.all((p > 0) & (p < 1))
 
     def test_z_matches_composition(self):
         params = small_params()
         x = np.random.default_rng(3).standard_normal((6, 12))
-        z, _, _ = forward_full(x, params, GrlConfig(1.0), "eval")
-        direct = fourier.project(encode(x, params, "eval"), params.basis)
+        z, _, _ = forward_full(x, params, GrlConfig(1.0), ForwardTapes())
+        direct = fourier.project(encode(x, params, "train"), params.basis)
         assert np.array_equal(z, direct)
 
     def test_zero_coefficient_kills_adversarial_gradient(self):
@@ -170,9 +169,7 @@ class TestForwardFull:
         x = np.random.default_rng(4).standard_normal((6, 12))
         dom = np.array([0, 1, 2, 0, 1, 2])
         tapes = ForwardTapes()
-        _, _, logits = forward_full(
-            x, params, GrlConfig(0.0), "train", dropout_p=0.0, tapes=tapes
-        )
+        _, _, logits = forward_full(x, params, GrlConfig(0.0), tapes)
         _, dlogits = domain_adversarial_loss(logits, dom)
         for t in params.trainables():
             t.zero_grad()
@@ -180,30 +177,17 @@ class TestForwardFull:
         assert np.array_equal(dz, np.zeros_like(dz))
 
 
-class TestGrlBackward:
-    def test_negation(self):
-        assert np.array_equal(
-            grl_backward(np.array([[2.0, -3.0]]), 1.0), [[-2.0, 3.0]]
-        )
-
-    def test_zero_coefficient(self):
-        out = grl_backward(np.array([[2.0, -3.0]]), 0.0)
-        assert np.array_equal(out, [[0.0, 0.0]])
-
-    def test_half_coefficient(self):
-        assert np.array_equal(grl_backward(np.array([[4.0]]), 0.5), [[-2.0]])
-
+class TestGrlConfig:
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ParameterError):
-            grl_backward(np.array([[1.0]]), -0.5)
-        with pytest.raises(ParameterError):
-            GrlConfig(-1.0)
+        for coefficient in (-1.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                GrlConfig(coefficient)
 
 
 def _adv_encoder_grads(params, x, dom, grl):
     work = params.copy()
     tapes = ForwardTapes()
-    _, _, logits = forward_full(x, work, grl, "train", dropout_p=0.0, tapes=tapes)
+    _, _, logits = forward_full(x, work, grl, tapes)
     _, dlogits = domain_adversarial_loss(logits, dom)
     for t in work.trainables():
         t.zero_grad()
@@ -235,7 +219,7 @@ class TestGradientSuite:
 
 def objective_terms(params, x, y, dom):
     """(l_asy, l_adv, l_cls) of a train-mode forward without dropout."""
-    z, p, logits = forward_full(x, params, None, "train", dropout_p=0.0)
+    z, p, logits = forward_full(x, params, None, ForwardTapes())
     return (asymmetric_loss(z, y)[0], domain_adversarial_loss(logits, dom)[0],
             classification_loss(p, y)[0])
 
@@ -459,9 +443,13 @@ class TestCheckpointFormat:
         ("domains", [1, 2, None]),
         ("domains", ["A", "A", "B"]),
         ("domains", "ABC"),
+        ("gene_list", "abcde"),
+        ("gene_list", [1, 2, 3, 4, 5]),
+        ("gene_list", ["a", "a", "b", "c", "d"]),
     ], ids=["M-str", "d-null", "grl-list", "grl-str", "params-list", "config-list",
             "genes-int", "M-float", "d-float", "domains-short",
-            "domains-not-str", "domains-repeated", "domains-str"])
+            "domains-not-str", "domains-repeated", "domains-str",
+            "genes-str", "genes-not-str", "genes-repeated"])
     def test_malformed_field_is_parameter_error(self, tmp_path, key, value):
         path, doc = self._saved_doc(tmp_path)
         doc[key] = value

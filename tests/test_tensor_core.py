@@ -160,15 +160,12 @@ class TestBatchNormBitwise:
         state = RunningStats(5)
         state.mean, state.var = rng.standard_normal(5), rng.uniform(0.5, 2.0, 5)
         xhat = (x - state.mean) * (1.0 / np.sqrt(state.var + 1e-5))
-        dy = rng.standard_normal((9, 5))
         g, b = Param(gamma), Param(beta)
-        tape = GradTape()
-        y = batchnorm(x, g, b, state, "eval", tape)
-        tape.backward(dy)
+        y = batchnorm(x, g, b, state, "eval")
         assert y.tobytes() == (gamma * xhat + beta).tobytes()
-        assert g.grad.tobytes() == (dy * xhat).sum(axis=0).tobytes()
-        assert b.grad.tobytes() == dy.sum(axis=0).tobytes()
         assert x.tobytes() == x_before.tobytes()
+        with pytest.raises(ParameterError, match="eval mode"):
+            batchnorm(x, g, b, state, "eval", GradTape())
 
 
 class TestDropout:
@@ -264,7 +261,7 @@ class TestRngState:
 class TestGradCheck:
     def test_quadratic(self):
         err = grad_check(lambda v: (float(v[0] ** 2), np.array([2.0 * v[0]])),
-                         np.array([3.0]), h=1e-5)
+                         np.array([3.0]))
         assert err < 1e-8
 
     def test_constant(self):
@@ -275,15 +272,10 @@ class TestGradCheck:
         with pytest.raises(EvaluationError):
             grad_check(lambda v: (float("nan"), np.zeros_like(v)), np.array([1.0]))
 
-    def test_bad_step(self):
-        with pytest.raises(ParameterError):
-            grad_check(lambda v: (0.0, np.zeros_like(v)), np.array([1.0]), h=0.0)
-
 
 class TestPrimitiveGradients:
     """Analytic backward vs central differences on random [-1, 1] inputs."""
 
-    H = 1e-5
     TOL = 1e-4
 
     def _check(self, forward, x0):
@@ -295,7 +287,7 @@ class TestPrimitiveGradients:
             grad = tape.backward(np.ones_like(y))
             return value, grad.ravel()
 
-        return grad_check(f, x0.ravel(), h=self.H)
+        return grad_check(f, x0.ravel())
 
     def test_affine_inputs(self):
         rng = np.random.default_rng(1)
@@ -316,7 +308,7 @@ class TestPrimitiveGradients:
             tape.backward(np.ones_like(y))
             return float(y.sum()), w.grad.ravel()
 
-        assert grad_check(f, w0.ravel(), h=self.H) < self.TOL
+        assert grad_check(f, w0.ravel()) < self.TOL
 
     def test_relu(self):
         rng = np.random.default_rng(3)
