@@ -23,7 +23,7 @@ from fourierdg.tensor_core import RngState
 
 print("=== end-to-end gradient audit (reduced model) ===")
 start = time.time()
-err = gradient_suite(seed=0)
+err = gradient_suite()
 print(f"max relative error vs central differences: {err:.3e}")
 print(f"elapsed: {time.time() - start:.2f}s")
 

@@ -17,7 +17,7 @@ cfg = TrainConfig(
 )
 seeds = [1, 2]
 print(f"ablation over seeds {seeds} on 4 domains ({len(seeds) * 2 * 4} fits)...")
-result = ablate_faac(gm, metas, cfg, seeds=seeds, min_test_per_class=3, hvg=100)
+result = ablate_faac(gm, metas, cfg, seeds=seeds, hvg=100)
 
 print()
 print("per-run AUROC:")

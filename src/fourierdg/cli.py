@@ -26,7 +26,7 @@ from .data import (
     write_table,
     zscore_fit_apply,
 )
-from .errors import FourierDGError, ParameterError, TrainingDivergedError
+from .errors import FourierDGError, ParameterError, TrainingDivergedError, naming_path
 from .model import encode, gradient_suite, load_checkpoint, save_checkpoint
 from .train import TrainConfig, predict, train_checkpoint, write_log_csv
 
@@ -60,8 +60,8 @@ class _Parser(argparse.ArgumentParser):
 def _print_resolved(command: str, args: argparse.Namespace, **extra):
     fields = {k: v for k, v in vars(args).items() if k != "command"}
     fields.update(extra)
-    pairs = " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-    print(f"config: command={command} {pairs}")
+    pairs = [f"{k}={v}" for k, v in sorted(fields.items())]
+    print(" ".join(["config:", f"command={command}", *pairs]))
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -101,7 +101,6 @@ def build_parser() -> _Parser:
     p.add_argument("--expr", required=True)
     p.add_argument("--meta", required=True)
     _add_train_flags(p)
-    p.add_argument("--min-test-per-class", type=int, default=3)
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-roc-dir", default=None)
 
@@ -110,11 +109,9 @@ def build_parser() -> _Parser:
     p.add_argument("--meta", required=True)
     _add_train_flags(p)
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--min-test-per-class", type=int, default=3)
     p.add_argument("--out-table", required=True)
 
-    p = sub.add_parser("gradcheck", help="finite-difference audit of gradients")
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("gradcheck", help="finite-difference audit of gradients")
 
     return parser
 
@@ -145,6 +142,7 @@ def _effective_hvg(requested: int, gene_count: int) -> int:
     return requested
 
 
+@naming_path
 def _read_synth_config(path) -> dict:
     """Generator fields from a JSON object; ``SynthConfig.validate`` checks
     their values."""
@@ -152,9 +150,9 @@ def _read_synth_config(path) -> dict:
         try:
             fields = json.load(fh)
         except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise ParameterError(f"{path}: not valid JSON: {e}") from None
+            raise ParameterError(f"not valid JSON: {e}") from None
     if not isinstance(fields, dict):
-        raise ParameterError(f"{path}: generator config must be a JSON object")
+        raise ParameterError("generator config must be a JSON object")
     defaults = asdict(synth.SynthConfig())
     unknown = sorted(set(fields) - set(defaults))
     if unknown:
@@ -217,14 +215,13 @@ def _cmd_lodo(args) -> int:
     _print_resolved("lodo", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
-    report = evaluate.lodo_run(gm, metas, cfg, args.min_test_per_class, hvg=k)
+    report = evaluate.lodo_run(gm, metas, cfg, hvg=k)
     for e in report.entries:
         print(f"domain {e.domain}: n_test={e.n_test} auroc={e.roc.auroc:.4f}")
     print(f"mean auroc={report.mean_auroc:.4f}")
     evaluate.write_report_csv(args.out_report, report)
     if args.out_roc_dir is not None:
         os.makedirs(args.out_roc_dir, exist_ok=True)
-        # rerun is unnecessary: entries carry the points already
         for e in report.entries:
             evaluate.write_roc_csv(
                 os.path.join(args.out_roc_dir, f"roc_{e.domain}.csv"), e.roc
@@ -241,7 +238,7 @@ def _cmd_ablate(args) -> int:
     _print_resolved("ablate", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
-    result = evaluate.ablate_faac(gm, metas, cfg, seeds, args.min_test_per_class, hvg=k)
+    result = evaluate.ablate_faac(gm, metas, cfg, seeds, hvg=k)
     evaluate.write_ablation_csv(args.out_table, result)
     print(
         f"mean_on={result.mean_on:.4f} mean_off={result.mean_off:.4f} "
@@ -252,7 +249,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     _print_resolved("gradcheck", args)
-    err = gradient_suite(seed=args.seed)
+    err = gradient_suite()
     print(f"max_rel_err={err!r}")
     if err >= GRADCHECK_TOL:
         print(f"error: gradient mismatch exceeds {GRADCHECK_TOL}", file=sys.stderr)

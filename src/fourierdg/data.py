@@ -18,7 +18,6 @@ binary: 1 = drug-sensitive, 0 = resistant.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ParameterError, ParseError
+from .errors import AlignmentError, ParameterError, ParseError, naming_path
 
 STD_FLOOR = 1e-8
 
@@ -117,17 +116,6 @@ def _lines(path) -> Iterator[tuple[int, str]]:
         ) from None
 
 
-def _naming_path(load):
-    """``load(path)``, with the path put before each ParseError message."""
-    @functools.wraps(load)
-    def load_named(path):
-        try:
-            return load(path)
-        except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
-    return load_named
-
-
 def _parse_float(cell: str, lineno: int, context: str) -> float:
     try:
         value = float(cell)
@@ -155,7 +143,7 @@ def _expression_header(lineno: int, line: str) -> tuple[str, list[str]]:
     return delim, gene_names
 
 
-@_naming_path
+@naming_path
 def load_expression(path) -> GeneMatrix:
     """Parse an expression table; raises ParseError naming the file and its
     first bad line.
@@ -230,7 +218,7 @@ def write_expression(path, gm: GeneMatrix):
 META_HEADER = ["sample_id", "domain", "ic50", "response"]
 
 
-@_naming_path
+@naming_path
 def load_metadata(path) -> list[SampleMeta]:
     """Parse the sample_id,domain,ic50,response table."""
     lines = _lines(path)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the config field check."""
+"""Exception types shared across the package, the config field check, and
+the decorator that puts a file's path before a loader's errors."""
 
 import dataclasses
+import functools
 
 
 class FourierDGError(Exception):
@@ -63,3 +65,15 @@ def check_field_types(cfg):
         accepted = (int, float) if want is float else want
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ParameterError(f"{f.name} must be {want.__name__}, got {value!r}")
+
+
+def naming_path(load):
+    """``load(path)``, with the path put before the message of each
+    FourierDGError it raises."""
+    @functools.wraps(load)
+    def load_named(path):
+        try:
+            return load(path)
+        except FourierDGError as e:
+            raise type(e)(f"{path}: {e}") from None
+    return load_named

@@ -9,6 +9,7 @@ touch normalization statistics or training.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -18,6 +19,9 @@ from .data import GeneMatrix, SampleMeta, lodo_split, match_metadata, subset_sam
 from .errors import ConfigurationError, MetricError, ParameterError, ReportError
 from .model import Checkpoint
 from .train import EpochLog, TrainConfig, predict, train_checkpoint
+
+# A domain is held out only with this many test samples of each class.
+MIN_TEST_PER_CLASS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +204,12 @@ def run_fold(
     )
 
 
-def eligible_domains(
-    metas: Sequence[SampleMeta], min_test_per_class: int
-) -> list[str]:
-    """Domains with at least min_test_per_class samples of each response
+def eligible_domains(metas: Sequence[SampleMeta]) -> list[str]:
+    """Domains with at least MIN_TEST_PER_CLASS samples of each response
     class; the rest stay in training but are never held out."""
-    domains = sorted({m.domain for m in metas})
-    out = []
-    for d in domains:
-        n_pos = sum(1 for m in metas if m.domain == d and m.response == 1)
-        n_neg = sum(1 for m in metas if m.domain == d and m.response == 0)
-        if n_pos >= min_test_per_class and n_neg >= min_test_per_class:
-            out.append(d)
-    return out
+    counts = Counter((m.domain, m.response) for m in metas)
+    return [d for d in sorted({m.domain for m in metas})
+            if min(counts[d, 0], counts[d, 1]) >= MIN_TEST_PER_CLASS]
 
 
 def _domain_result(fold: FoldResult) -> DomainResult:
@@ -229,12 +226,10 @@ def lodo_run(
     gm: GeneMatrix,
     metas: Sequence[SampleMeta],
     cfg: TrainConfig,
-    min_test_per_class: int = 3,
+    *,
     hvg: Optional[int] = None,
 ) -> LodoReport:
     """Hold out each eligible domain in turn; report per-domain ROC."""
-    if min_test_per_class < 1:
-        raise ParameterError(f"min_test_per_class must be >= 1, got {min_test_per_class}")
     metas = match_metadata(gm, metas)
     if any(m.response is None for m in metas):
         raise ConfigurationError(
@@ -242,10 +237,11 @@ def lodo_run(
         )
     if len({m.domain for m in metas}) < 2:
         raise ConfigurationError("LODO needs at least 2 domains")
-    targets = eligible_domains(metas, min_test_per_class)
+    targets = eligible_domains(metas)
     if not targets:
         raise ReportError(
-            f"no domain has {min_test_per_class}+ samples of each class"
+            f"no domain has MIN_TEST_PER_CLASS = {MIN_TEST_PER_CLASS} or more "
+            "samples of each class"
         )
     # each fold's checkpoint is dropped once its entry is made, so one fold
     # model is alive at a time
@@ -282,7 +278,7 @@ def ablate_faac(
     metas: Sequence[SampleMeta],
     cfg: TrainConfig,
     seeds: Sequence[int],
-    min_test_per_class: int = 3,
+    *,
     hvg: Optional[int] = None,
 ) -> AblationResult:
     """Run the LODO harness with the clustering constraint on and off
@@ -293,7 +289,7 @@ def ablate_faac(
     for seed in seeds:
         for faac_on in (True, False):
             run_cfg = replace(cfg, seed=seed, lambda1=cfg.lambda1 if faac_on else 0.0)
-            report = lodo_run(gm, metas, run_cfg, min_test_per_class, hvg)
+            report = lodo_run(gm, metas, run_cfg, hvg=hvg)
             rows.extend(
                 AblationRow(seed, faac_on, e.domain, e.roc.auroc)
                 for e in report.entries

@@ -44,7 +44,7 @@ def verdict(name: str, ok: bool, detail: str):
 class TestCriterion1Gradients:
     def test_end_to_end_gradient_suite(self):
         start = time.time()
-        err = gradient_suite(seed=0)
+        err = gradient_suite()
         elapsed = time.time() - start
         verdict(
             "C1 gradient-suite",
@@ -188,9 +188,7 @@ class TestCriterion5SyntheticLodo:
     def test_faac_direction_on_synthetic_benchmark(self):
         start = time.time()
         gm, metas = generate(SynthConfig())
-        result = ablate_faac(
-            gm, metas, LODO_CFG, seeds=LODO_SEEDS, min_test_per_class=3
-        )
+        result = ablate_faac(gm, metas, LODO_CFG, seeds=LODO_SEEDS)
         elapsed = time.time() - start
         expected_rows = len(LODO_SEEDS) * 2 * 6  # all 6 default domains eligible
         ok = (

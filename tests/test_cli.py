@@ -6,8 +6,6 @@ from dataclasses import fields
 import pytest
 
 from fourierdg.cli import TRAIN_FLAGS, _train_config, build_parser, run
-from fourierdg.data import write_expression, write_metadata
-from fourierdg.synth import SynthConfig, generate
 from fourierdg.train import TrainConfig
 
 FAST_TRAIN = [
@@ -114,6 +112,23 @@ class TestValidation:
                        f"cannot decode byte 0xe9\n")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("text, expected", [
+        ('{"format_version": 2,', "checkpoint is not valid JSON: Expecting "),
+        ('{"format_version": 2}', "checkpoint is missing field 'params'\n"),
+    ], ids=["invalid-json", "missing-field"])
+    def test_bad_checkpoint_names_the_file(self, dataset, tmp_path, capsys,
+                                           text, expected):
+        expr, _ = dataset
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(text)
+        rc = run(["predict", "--expr", str(expr), "--checkpoint", str(ckpt),
+                  "--out-scores", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {expected}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
     def test_diverged_training_is_runtime_failure(self, dataset, tmp_path, capsys):
         expr, meta = dataset
         rc = run(train_args(expr, meta, tmp_path, "diverge", ["--lr", "1e300"]))
@@ -141,31 +156,6 @@ class TestValidation:
         assert err.count("\n") == 1
         assert not (tmp_path / "e.csv").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_ablate_min_test_per_class_below_one(self, tmp_path, capsys, monkeypatch,
-                                                 value):
-        # domain D2 holds one class only; the bad value must be rejected
-        # before any fold trains, not surface as a per-domain AUROC error
-        gm, metas = generate(SynthConfig(domains=3, genes=40, per_domain=30, seed=5))
-        for m in metas:
-            if m.domain == "D2":
-                m.response = 1
-        expr, meta = tmp_path / "e.csv", tmp_path / "m.csv"
-        write_expression(expr, gm)
-        write_metadata(meta, metas)
-
-        def fail(*_):
-            raise AssertionError("fit called")
-
-        monkeypatch.setattr("fourierdg.train.fit", fail)
-        rc = run([
-            "ablate", "--expr", str(expr), "--meta", str(meta), *FAST_TRAIN,
-            "--seeds", "1,2", "--min-test-per-class", value,
-            "--out-table", str(tmp_path / "t.csv"),
-        ])
-        assert rc == 1
-        assert "min_test_per_class must be >= 1" in capsys.readouterr().err
-
     def test_bad_seeds_list(self, dataset, tmp_path, capsys):
         expr, meta = dataset
         rc = run([
@@ -189,6 +179,33 @@ class TestTrainFlags:
             "--out-checkpoint", "c", "--out-log", "l",
         ])
         assert _train_config(args) == TrainConfig(seed=0)
+
+
+# Every option string of every subcommand, spelled out so that adding or
+# removing an option shows in this file.
+TRAINING_OPTIONS = {
+    "--hvg", "--seed", "--lambda1", "--lambda2", "--lr", "--batch", "--epochs",
+    "--grl", "--dropout", "--enc-hidden", "--enc-out", "--disc-hidden",
+}
+OPTION_CENSUS = {
+    "synth": {"--config", "--seed", "--out-expr", "--out-meta"},
+    "train": {"--expr", "--meta", *TRAINING_OPTIONS,
+              "--out-checkpoint", "--out-log", "--out-embedding"},
+    "predict": {"--expr", "--checkpoint", "--out-scores"},
+    "lodo": {"--expr", "--meta", *TRAINING_OPTIONS, "--out-report", "--out-roc-dir"},
+    "ablate": {"--expr", "--meta", *TRAINING_OPTIONS, "--seeds", "--out-table"},
+    "gradcheck": set(),
+}
+
+
+def test_option_census():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if a.choices]
+    found = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert found == OPTION_CENSUS
 
 
 class TestResolvedConfig:
@@ -219,8 +236,7 @@ class TestResolvedConfig:
         ["train", "--expr", "e", "--meta", "m", "--out-checkpoint", "c", "--out-log", "l"],
         ["lodo", "--expr", "e", "--meta", "m", "--out-report", "r"],
         ["ablate", "--expr", "e", "--meta", "m", "--out-table", "t"],
-        ["gradcheck"],
-    ], ids=["train", "lodo", "ablate", "gradcheck"])
+    ], ids=["train", "lodo", "ablate"])
     def test_seed_defaults_to_zero(self, argv):
         assert build_parser().parse_args(argv).seed == 0
 
@@ -285,7 +301,7 @@ class TestLodoAndAblate:
         roc_dir = tmp_path / "rocs"
         rc = run([
             "lodo", "--expr", str(expr), "--meta", str(meta), *FAST_TRAIN,
-            "--seed", "1", "--min-test-per-class", "3",
+            "--seed", "1",
             "--out-report", str(report), "--out-roc-dir", str(roc_dir),
         ])
         assert rc == 0

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from fourierdg.errors import MetricError, ParameterError, ReportError
 from fourierdg.evaluate import (
+    MIN_TEST_PER_CLASS,
     _midranks,
     ablate_faac,
     auroc,
@@ -301,7 +303,7 @@ def tiny_benchmark():
 class TestLodoRun:
     def test_every_domain_reported(self, tiny_benchmark):
         gm, metas = tiny_benchmark
-        report = lodo_run(gm, metas, TrainConfig(**TINY), min_test_per_class=3)
+        report = lodo_run(gm, metas, TrainConfig(**TINY))
         assert [e.domain for e in report.entries] == ["D0", "D1", "D2"]
         assert report.mean_auroc == pytest.approx(
             np.mean([e.roc.auroc for e in report.entries])
@@ -309,11 +311,26 @@ class TestLodoRun:
         for e in report.entries:
             assert e.n_test == 30 and e.n_pos == 15 and e.n_neg == 15
 
-    def test_min_test_filter(self, tiny_benchmark):
+    def test_min_test_filter(self, tiny_benchmark, monkeypatch):
+        # every domain keeps one positive fewer than MIN_TEST_PER_CLASS
         gm, metas = tiny_benchmark
-        assert eligible_domains(metas, 16) == []
-        with pytest.raises(ReportError):
-            lodo_run(gm, metas, TrainConfig(**TINY), min_test_per_class=16)
+        positives = Counter()
+        short = []
+        for m in metas:
+            positives[m.domain] += m.response
+            keep = m.response == 1 and positives[m.domain] < MIN_TEST_PER_CLASS
+            short.append(replace(m, response=int(keep)))
+        assert Counter(m.domain for m in short if m.response == 1) == {
+            "D0": 2, "D1": 2, "D2": 2,
+        }
+        assert eligible_domains(short) == []
+
+        def fail(*_):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr("fourierdg.train.fit", fail)
+        with pytest.raises(ReportError, match="MIN_TEST_PER_CLASS = 3"):
+            lodo_run(gm, short, TrainConfig(**TINY))
 
     def test_small_domain_dropped_but_others_kept(self):
         from fourierdg.data import SampleMeta
@@ -323,12 +340,12 @@ class TestLodoRun:
             for i in range(n_per_class):
                 metas.append(SampleMeta(f"{domain}p{i}", domain, response=1))
                 metas.append(SampleMeta(f"{domain}n{i}", domain, response=0))
-        assert eligible_domains(metas, 3) == ["A", "C"]
+        assert eligible_domains(metas) == ["A", "C"]
 
     def test_matches_run_fold_per_domain(self, tiny_benchmark):
         gm, metas = tiny_benchmark
         cfg = TrainConfig(**TINY)
-        report = lodo_run(gm, metas, cfg, min_test_per_class=3, hvg=20)
+        report = lodo_run(gm, metas, cfg, hvg=20)
         for entry in report.entries:
             fold = run_fold(gm, metas, entry.domain, cfg, hvg=20)
             assert entry.roc.points == fold.roc.points
@@ -338,7 +355,7 @@ class TestLodoRun:
     def test_holds_one_fold_model_at_a_time(self, tiny_benchmark, monkeypatch):
         gm, metas = tiny_benchmark
         cfg = TrainConfig(**TINY)
-        unwrapped = lodo_run(gm, metas, cfg, min_test_per_class=3)
+        unwrapped = lodo_run(gm, metas, cfg)
         earlier = []
 
         def tracked_run_fold(*args, **kwargs):
@@ -349,27 +366,12 @@ class TestLodoRun:
             return fold
 
         monkeypatch.setattr("fourierdg.evaluate.run_fold", tracked_run_fold)
-        report = lodo_run(gm, metas, cfg, min_test_per_class=3)
+        report = lodo_run(gm, metas, cfg)
         gc.collect()
         assert len(earlier) == 3 and all(ref() is None for ref in earlier)
         assert [e.roc.points for e in report.entries] == [
             e.roc.points for e in unwrapped.entries
         ]
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_min_test_per_class_below_one_rejected_before_fit(
-        self, tiny_benchmark, monkeypatch, bad
-    ):
-        def fail(*_):
-            raise AssertionError("fit called")
-
-        monkeypatch.setattr("fourierdg.train.fit", fail)
-        gm, metas = tiny_benchmark
-        cfg = TrainConfig(**TINY)
-        with pytest.raises(ParameterError, match="min_test_per_class"):
-            lodo_run(gm, metas, cfg, min_test_per_class=bad)
-        with pytest.raises(ParameterError, match="min_test_per_class"):
-            ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=bad)
 
     def test_hvg_restricts_checkpoint_genes(self, tiny_benchmark):
         gm, metas = tiny_benchmark
@@ -381,11 +383,11 @@ class TestAblateFaac:
     def test_structure_and_determinism(self, tiny_benchmark):
         gm, metas = tiny_benchmark
         cfg = TrainConfig(**{**TINY, "epochs": 2})
-        result = ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=3)
+        result = ablate_faac(gm, metas, cfg, seeds=[1, 2])
         assert len(result.rows) == 2 * 2 * 3  # seeds x toggle x domains
         assert result.delta == pytest.approx(result.mean_on - result.mean_off)
         assert set(result.per_domain_delta) == {"D0", "D1", "D2"}
-        again = ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=3)
+        again = ablate_faac(gm, metas, cfg, seeds=[1, 2])
         assert [(r.seed, r.faac_on, r.domain, r.auroc) for r in result.rows] == [
             (r.seed, r.faac_on, r.domain, r.auroc) for r in again.rows
         ]
@@ -393,13 +395,13 @@ class TestAblateFaac:
     def test_arms_are_lodo_runs_with_and_without_lambda1(self, tiny_benchmark):
         gm, metas = tiny_benchmark
         cfg = TrainConfig(**{**TINY, "epochs": 2})
-        result = ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=3)
+        result = ablate_faac(gm, metas, cfg, seeds=[1, 2])
         for seed in (1, 2):
             for faac_on, run_cfg in (
                 (True, replace(cfg, seed=seed)),
                 (False, replace(cfg, seed=seed, lambda1=0.0)),
             ):
-                report = lodo_run(gm, metas, run_cfg, min_test_per_class=3)
+                report = lodo_run(gm, metas, run_cfg)
                 rows = [(r.domain, r.auroc) for r in result.rows
                         if r.seed == seed and r.faac_on == faac_on]
                 assert rows == [(e.domain, e.roc.auroc) for e in report.entries]
@@ -421,8 +423,7 @@ class TestCsvWriters:
 
     def test_report_csv(self, tiny_benchmark, tmp_path):
         gm, metas = tiny_benchmark
-        report = lodo_run(gm, metas, TrainConfig(**{**TINY, "epochs": 2}),
-                          min_test_per_class=3)
+        report = lodo_run(gm, metas, TrainConfig(**{**TINY, "epochs": 2}))
         path = tmp_path / "report.csv"
         write_report_csv(path, report)
         lines = path.read_text().splitlines()
@@ -434,7 +435,7 @@ class TestCsvWriters:
     def test_ablation_csv(self, tiny_benchmark, tmp_path):
         gm, metas = tiny_benchmark
         cfg = TrainConfig(**{**TINY, "epochs": 2})
-        result = ablate_faac(gm, metas, cfg, seeds=[1, 2], min_test_per_class=3)
+        result = ablate_faac(gm, metas, cfg, seeds=[1, 2])
         path = tmp_path / "ablation.csv"
         write_ablation_csv(path, result)
         lines = path.read_text().splitlines()
