@@ -144,8 +144,8 @@ def _effective_hvg(requested: int, gene_count: int) -> int:
 
 @naming_path
 def _read_synth_config(path) -> dict:
-    """Generator fields from a JSON object; ``SynthConfig.validate`` checks
-    their values."""
+    """Generator fields from a JSON object, with values that
+    ``SynthConfig.validate`` accepts."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             fields = json.load(fh)
@@ -157,6 +157,7 @@ def _read_synth_config(path) -> dict:
     unknown = sorted(set(fields) - set(defaults))
     if unknown:
         raise ParameterError(f"unknown generator fields: {', '.join(unknown)}")
+    synth.SynthConfig(**fields).validate()
     return fields
 
 
@@ -167,7 +168,6 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         fields["seed"] = args.seed
     cfg = synth.SynthConfig(**fields)
-    cfg.validate()
     _print_resolved("synth", args, **asdict(cfg))
     gm, metas = synth.generate(cfg)
     write_expression(args.out_expr, gm)

@@ -15,6 +15,7 @@ import base64
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -41,7 +42,7 @@ from .tensor_core import (
     zeros_mapped,
 )
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -117,6 +118,8 @@ class ModelParams:
             "genes": len(self.gene_list), "hidden": self.hidden, "d": self.d,
             "disc_hidden": self.disc_hidden, "m_domains": self.m_domains, "one": 1,
         }
+        if min(widths.values()) < 1:
+            raise ParameterError(f"every width must be >= 1, got {widths}")
         shapes = [tuple(widths[w] for w in dims) for _, dims, _ in self.TRAINABLES]
         total = sum(math.prod(shape) for shape in shapes)
         self.values = zeros_mapped(total)
@@ -304,14 +307,8 @@ class Checkpoint:
     domains: list[str]
 
 
-def _encode_array(a: Array) -> dict:
-    """Format 2: the shape and the base64 of the little-endian float64 bytes."""
-    raw = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(raw.shape), "b64": base64.b64encode(raw).decode("ascii")}
-
-
 def _decode_array(stored, version: int) -> Array:
-    """Inverse of the array encoding of checkpoint ``format_version``.
+    """An array of a format-1 (nested lists) or format-2 (base64) document.
 
     A format-2 array is a read-only view of the decoded bytes; callers copy
     it into place.
@@ -330,40 +327,24 @@ def _decode_array(stored, version: int) -> Array:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _fill(target: Array, value: Array, key: str):
-    """Copy a decoded checkpoint array into its slot of the model."""
-    if value.shape != target.shape:
+def _check_shape(key: str, shape, target: Array):
+    if list(shape) != list(target.shape):
         raise ParameterError(
-            f"checkpoint array {key!r} has shape {list(value.shape)}, "
+            f"checkpoint array {key!r} has shape {list(shape)}, "
             f"expected {list(target.shape)}"
         )
-    target[...] = value
 
 
-def _stored_arrays(p: ModelParams) -> dict[str, Array]:
-    """The arrays a checkpoint's ``params`` field holds, by key: the
-    trainables, then each batch norm's running statistics."""
+def _stored_arrays(ckpt: Checkpoint) -> dict[str, Array]:
+    """The arrays a checkpoint stores, by key, in file order: the
+    trainables, each batch norm's running statistics, then the
+    standardization statistics."""
+    p = ckpt.params
     return {
         **{slot: getattr(p, slot).value for slot, _, _ in ModelParams.TRAINABLES},
         "bn1_mean": p.bn1_stats.mean, "bn1_var": p.bn1_stats.var,
         "bn2_mean": p.bn2_stats.mean, "bn2_var": p.bn2_stats.var,
-    }
-
-
-def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
-    p = ckpt.params
-    arrays = {key: _encode_array(a) for key, a in _stored_arrays(p).items()}
-    return {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "d": p.d,
-        "M": p.m_domains,
-        "gene_list": p.gene_list,
-        "norm_mean": _encode_array(ckpt.stats.mean),
-        "norm_std": _encode_array(ckpt.stats.std),
-        "grl": {"coefficient": ckpt.grl.coefficient},
-        "train_config": ckpt.train_config,
-        "domains": list(ckpt.domains),
-        "params": arrays,
+        "norm_mean": ckpt.stats.mean, "norm_std": ckpt.stats.std,
     }
 
 
@@ -374,18 +355,27 @@ def _distinct_names(value) -> bool:
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
-    """Rebuild a checkpoint of ``format_version`` 1 (nested lists) or 2."""
+    """Check a checkpoint's fields and rebuild it.
+
+    ``doc`` is a whole format-1 (nested lists) or format-2 (base64)
+    document, or a format-3 header, whose listed shapes must be those of
+    the widths it names.  The arrays of a format-3 checkpoint are left as
+    a new model holds them, for ``load_checkpoint`` to read from the body.
+    """
     if not isinstance(doc, dict):
         raise ParameterError("checkpoint must be a JSON object")
     version = doc.get("format_version")
-    if version not in (1, CHECKPOINT_FORMAT_VERSION):
+    if version not in (1, 2, CHECKPOINT_FORMAT_VERSION):
         raise ParameterError(f"unsupported checkpoint format_version {version!r}")
     try:
-        raw = doc["params"]
-
-        def arr(key):
-            return _decode_array(raw[key], version)
-
+        if version == CHECKPOINT_FORMAT_VERSION:
+            listed = doc["arrays"]
+            shapes = dict(listed)
+        else:
+            raw = {**doc["params"], "norm_mean": doc["norm_mean"],
+                   "norm_std": doc["norm_std"]}
+            shapes = {key: _decode_array(raw[key], version).shape
+                      for key in ("b1", "disc_b1")}
         m_domains, d, domains = doc["M"], doc["d"], doc["domains"]
         gene_list = doc["gene_list"]
         for key, value in (("M", m_domains), ("d", d)):
@@ -400,22 +390,31 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
                 "checkpoint field 'gene_list' must list distinct gene names"
             )
         params = ModelParams(
-            gene_list, m_domains,
-            hidden=arr("b1").size, d=d, disc_hidden=arr("disc_b1").size,
+            gene_list, m_domains, hidden=math.prod(shapes["b1"]), d=d,
+            disc_hidden=math.prod(shapes["disc_b1"]),
         )
-        for key, target in _stored_arrays(params).items():
-            _fill(target, arr(key), key)
         n_genes = len(params.gene_list)
-        stats = NormStats(list(params.gene_list), np.empty(n_genes), np.empty(n_genes))
-        _fill(stats.mean, _decode_array(doc["norm_mean"], version), "norm_mean")
-        _fill(stats.std, _decode_array(doc["norm_std"], version), "norm_std")
-        return Checkpoint(
+        ckpt = Checkpoint(
             params=params,
-            stats=stats,
+            stats=NormStats(list(params.gene_list), np.zeros(n_genes), np.zeros(n_genes)),
             grl=GrlConfig(coefficient=float(doc["grl"]["coefficient"])),
             train_config=dict(doc["train_config"]),
             domains=list(domains),
         )
+        arrays = _stored_arrays(ckpt)
+        if version == CHECKPOINT_FORMAT_VERSION:
+            if [key for key, _ in listed] != list(arrays):
+                raise ParameterError(
+                    f"checkpoint header must list the arrays {list(arrays)} in order"
+                )
+            for key, target in arrays.items():
+                _check_shape(key, shapes[key], target)
+        else:
+            for key, target in arrays.items():
+                value = _decode_array(raw[key], version)
+                _check_shape(key, value.shape, target)
+                target[...] = value
+        return ckpt
     except KeyError as e:
         raise ParameterError(f"checkpoint is missing field {e}") from None
     except (TypeError, ValueError) as e:
@@ -423,34 +422,46 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
 
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
-    return json.dumps(checkpoint_to_dict(ckpt), sort_keys=True, separators=(",", ":"))
+    """The header line of ``ckpt``'s file, without its newline: the
+    widths, gene list, training set-up and the key and shape of each
+    array that follows it."""
+    p = ckpt.params
+    return json.dumps({
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "d": p.d,
+        "M": p.m_domains,
+        "gene_list": p.gene_list,
+        "grl": {"coefficient": ckpt.grl.coefficient},
+        "train_config": ckpt.train_config,
+        "domains": list(ckpt.domains),
+        "arrays": [[key, list(a.shape)] for key, a in _stored_arrays(ckpt).items()],
+    }, sort_keys=True, separators=(",", ":"))
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    """Write ``checkpoint_to_json(ckpt)`` and a newline.
+    """Write format 3: ``checkpoint_to_json(ckpt)`` and a newline, then the
+    little-endian float64 bytes of each array the header lists, in order.
 
-    The document is streamed to ``<path>.tmp`` rather than built as one
-    string, and replaces ``path`` only once it is whole: a value that
-    cannot be encoded leaves an existing checkpoint as it was.
+    The file is written to ``<path>.tmp`` and replaces ``path`` only once
+    it is whole: a value that cannot be encoded leaves an existing
+    checkpoint as it was.
     """
-    doc = checkpoint_to_dict(ckpt)
+    header = checkpoint_to_json(ckpt)
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
+            for a in _stored_arrays(ckpt).values():
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-@naming_path
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint file; its ParameterError messages start with
-    the path."""
+def _parse_json(data: bytes):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as e:
         raise ParameterError(f"checkpoint is not valid JSON: {e}") from None
     except UnicodeDecodeError as e:
@@ -458,7 +469,44 @@ def load_checkpoint(path) -> Checkpoint:
             "checkpoint is not UTF-8 text: cannot decode byte "
             f"0x{e.object[e.start]:02x}"
         ) from None
-    return checkpoint_from_dict(doc)
+
+
+@naming_path
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint file; its ParameterError messages start with
+    the path.
+
+    A first line that is a JSON object of a format other than 1 and 2 is
+    a header, checked by ``checkpoint_from_dict``; the rest of the file
+    must hold exactly the bytes of the arrays it lists, which are read
+    straight into the model.  Any other file is one JSON document of
+    format 1 or 2.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        try:
+            header = _parse_json(first)
+        except ParameterError:
+            header = None
+        if not isinstance(header, dict) or header.get("format_version") in (1, 2):
+            rest = fh.read()
+            return checkpoint_from_dict(
+                _parse_json(first + rest) if rest or header is None else header
+            )
+        ckpt = checkpoint_from_dict(header)
+        arrays = list(_stored_arrays(ckpt).values())
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        want = sum(a.nbytes for a in arrays)
+        if held != want:
+            raise ParameterError(
+                f"checkpoint body holds {held} bytes, its header lists {want}"
+            )
+        for a in arrays:
+            if fh.readinto(a) != a.nbytes:
+                raise ParameterError("checkpoint body ended while it was read")
+            if sys.byteorder == "big":
+                a.byteswap(inplace=True)
+    return ckpt
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fourierdg.losses import (
     domain_adversarial_loss,
     total_loss,
 )
-from fourierdg.model import checkpoint_to_json, gradient_suite, load_checkpoint
+from fourierdg.model import gradient_suite, load_checkpoint, save_checkpoint
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.train import TrainConfig
 
@@ -230,9 +230,9 @@ class TestCriterion6Determinism:
             outputs.append((ck.read_bytes(), log.read_bytes()))
         same_bytes = outputs[0] == outputs[1]
         ck_first = tmp_path / "ck_a.json"
-        reloaded = load_checkpoint(ck_first)
-        resaved = checkpoint_to_json(reloaded) + "\n"
-        round_trip = resaved.encode() == ck_first.read_bytes()
+        resaved = tmp_path / "ck_resaved.json"
+        save_checkpoint(resaved, load_checkpoint(ck_first))
+        round_trip = resaved.read_bytes() == ck_first.read_bytes()
         verdict(
             "C6 determinism",
             same_bytes and round_trip,
@@ -242,7 +242,7 @@ class TestCriterion6Determinism:
 
 
 class TestCriterion7LeakageGuard:
-    def test_held_out_values_cannot_leak(self):
+    def test_held_out_values_cannot_leak(self, tmp_path):
         gm, metas = generate(SynthConfig(domains=3, genes=40, per_domain=30, seed=9))
         cfg = TrainConfig(
             lr=1e-3, batch_size=16, epochs=4, seed=3,
@@ -257,9 +257,12 @@ class TestCriterion7LeakageGuard:
         stats_same = np.array_equal(
             fold.checkpoint.stats.mean, foldcor.checkpoint.stats.mean
         ) and np.array_equal(fold.checkpoint.stats.std, foldcor.checkpoint.stats.std)
-        params_same = checkpoint_to_json(fold.checkpoint) == checkpoint_to_json(
-            foldcor.checkpoint
-        )
+        # the saved files hold every trained array's bytes after the header
+        saved = []
+        for tag, result in (("clean", fold), ("corrupted", foldcor)):
+            save_checkpoint(tmp_path / tag, result.checkpoint)
+            saved.append((tmp_path / tag).read_bytes())
+        params_same = saved[0] == saved[1]
         verdict(
             "C7 leakage-guard",
             stats_same and params_same,

@@ -141,10 +141,12 @@ class TestValidation:
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
 
-    @pytest.mark.parametrize("text", [
-        "{not json", "[1, 2]", '{"genes": "abc"}', '{"genes": 2.5}',
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", None), ("[1, 2]", None),
+        ('{"genes": "abc"}', "genes must be int, got 'abc'"),
+        ('{"genes": 2.5}', "genes must be int, got 2.5"),
     ], ids=["invalid-json", "not-an-object", "string-for-int", "float-for-int"])
-    def test_malformed_synth_config(self, tmp_path, capsys, text):
+    def test_malformed_synth_config(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "synth.json"
         cfg.write_text(text)
         rc = run(["synth", "--config", str(cfg),
@@ -153,6 +155,8 @@ class TestValidation:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        if message is not None:
+            assert err == f"error: {cfg}: {message}\n"
         assert err.count("\n") == 1
         assert not (tmp_path / "e.csv").exists()
 

@@ -1,5 +1,5 @@
-"""Memory bounds of the scoring hand-off: ingest, checkpoint save, gene and
-sample gathers, scoring.
+"""Memory bounds of the scoring hand-off: ingest, checkpoint save and
+load, gene and sample gathers, scoring.
 
 Each bound is on the tracemalloc peak, the most bytes that Python and
 numpy held at once during the call, counted from its start.  Unlike RSS
@@ -18,7 +18,13 @@ from fourierdg.data import (
     write_expression,
     zscore_fit_apply,
 )
-from fourierdg.model import Checkpoint, GrlConfig, init_params, save_checkpoint
+from fourierdg.model import (
+    Checkpoint,
+    GrlConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import Param, RngState, affine
 from fourierdg.train import TrainConfig, _score
@@ -45,19 +51,36 @@ def test_load_expression_holds_about_one_matrix(tmp_path):
     assert peak <= 3 * gm.values.nbytes, peak / gm.values.nbytes
 
 
-def test_save_checkpoint_does_not_hold_the_document(tmp_path):
-    # widths in roughly the reference proportions: w1 is half the arena
-    gm, metas = generate(SynthConfig(genes=120, per_domain=10, seed=2))
+def reference_shaped_checkpoint():
+    """A small checkpoint with widths in roughly the reference proportions:
+    w1 is half the arena."""
+    gm, _ = generate(SynthConfig(genes=120, per_domain=10, seed=2))
     params = init_params(gm.gene_names, 6, RngState(0), hidden=128, d=96, disc_hidden=64)
     _, stats = zscore_fit_apply(gm)
-    ckpt = Checkpoint(params, stats, GrlConfig(1.0),
+    return Checkpoint(params, stats, GrlConfig(1.0),
                       dataclasses.asdict(TrainConfig()), [f"D{i}" for i in range(6)])
-    path = tmp_path / "m.json"
+
+
+def test_save_checkpoint_does_not_hold_the_document(tmp_path):
+    ckpt = reference_shaped_checkpoint()
+    path = tmp_path / "m.bin"
     _, peak = traced_peak(save_checkpoint, path, ckpt)
     size = path.stat().st_size
-    # the encoded arrays, plus one of them being written; not the whole
-    # JSON text and its bytes as well
-    assert peak <= 2.5 * size, peak / size
+    # the header line and the file's write buffer; the arrays are written
+    # from where they are
+    assert peak <= 0.1 * size, peak / size
+
+
+def test_load_checkpoint_holds_no_document(tmp_path):
+    ckpt = reference_shaped_checkpoint()
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, ckpt)
+    loaded, peak = traced_peak(load_checkpoint, path)
+    assert loaded.params.values.tobytes() == ckpt.params.values.tobytes()
+    size = path.stat().st_size
+    # the header, the read buffer and the model's small arrays; the body is
+    # read straight into the arena, which tracemalloc does not see
+    assert peak <= 0.2 * size, peak / size
 
 
 def test_column_and_row_gathers_copy_once():

@@ -3,6 +3,7 @@ reduced-model gradient audit."""
 
 import base64
 import json
+import re
 import time
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from fourierdg.model import (
     Checkpoint,
     ForwardTapes,
     GrlConfig,
+    ModelParams,
     batch_objective,
     checkpoint_to_json,
     encode,
@@ -315,13 +317,19 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
 
     def test_version_gate(self, tmp_path):
-        ckpt = self._make()
+        """An unknown format_version is refused whether it heads a format-3
+        file or a single-line JSON document."""
         path = tmp_path / "ck.json"
-        save_checkpoint(path, ckpt)
-        doc = json.loads(path.read_text())
+        save_checkpoint(path, self._make())
+        header, body = split_checkpoint(path)
+        header["format_version"] = 99
+        write_checkpoint(path, header, body)
+        with pytest.raises(ParameterError, match=named(path, "unsupported .* 99")):
+            load_checkpoint(path)
+        doc = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=named(path, "unsupported .* 99")):
             load_checkpoint(path)
 
 
@@ -332,6 +340,21 @@ def checkpoint_arrays(ckpt):
     arrays += [p.bn1_stats.mean, p.bn1_stats.var, p.bn2_stats.mean, p.bn2_stats.var]
     arrays += [ckpt.stats.mean, ckpt.stats.std]
     return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def split_checkpoint(path):
+    """A format-3 file's parsed header line and its body bytes."""
+    line, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), body
+
+
+def write_checkpoint(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def named(path, pattern=""):
+    """A ``match`` pattern for an error message that starts with ``path``."""
+    return f"^{re.escape(str(path))}: {pattern}"
 
 
 def truncate_b64(entry):
@@ -364,35 +387,87 @@ def test_copies_share_the_basis():
     assert params.copy().basis is params.basis
 
 
+MALFORMED_FIELDS = [
+    ("M", "x"),
+    ("d", None),
+    ("grl", [1]),
+    ("grl", {"coefficient": "abc"}),
+    ("params", [1]),
+    ("train_config", [1, 2, 3]),
+    ("gene_list", 5),
+    ("M", 3.7),
+    ("d", 8.9),
+    ("domains", ["only"]),
+    ("domains", [1, 2, None]),
+    ("domains", ["A", "A", "B"]),
+    ("domains", "ABC"),
+    ("gene_list", "abcde"),
+    ("gene_list", [1, 2, 3, 4, 5]),
+    ("gene_list", ["a", "a", "b", "c", "d"]),
+    ("d", -2),
+]
+MALFORMED_FIELD_IDS = [
+    "M-str", "d-null", "grl-list", "grl-str", "params-list", "config-list",
+    "genes-int", "M-float", "d-float", "domains-short", "domains-not-str",
+    "domains-repeated", "domains-str", "genes-str", "genes-not-str", "genes-repeated",
+    "d-negative",
+]
+
+
 class TestCheckpointFormat:
     _make = TestCheckpoint._make
 
-    def _saved_doc(self, tmp_path):
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, self._make())
-        return path, json.loads(path.read_text())
+    def _v2_doc(self, tmp_path):
+        """A copy's path and the parsed format-2 fixture, to mutate."""
+        return tmp_path / "ck.json", json.loads((FIXTURES / "checkpoint_v2.json").read_text())
 
-    def test_v1_fixture_loads_bitwise(self, tmp_path):
-        """tests/fixtures/checkpoint_v1.json is the format-1 file written
-        for ``TestCheckpoint._make()`` before format 2 existed."""
+    def _saved(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, self._make())
+        return (path, *split_checkpoint(path))
+
+    def _check_fixture(self, tmp_path, version):
         ckpt = self._make()
-        loaded = load_checkpoint(FIXTURES / "checkpoint_v1.json")
+        fixture = FIXTURES / f"checkpoint_v{version}.json"
+        assert json.loads(fixture.read_text())["format_version"] == version
+        loaded = load_checkpoint(fixture)
         assert checkpoint_arrays(loaded) == checkpoint_arrays(ckpt)
         assert loaded.params.gene_list == ckpt.params.gene_list
         assert loaded.domains == ckpt.domains
         assert loaded.train_config == ckpt.train_config
-        resaved, fresh = tmp_path / "resaved.json", tmp_path / "fresh.json"
+        assert loaded.grl.coefficient == ckpt.grl.coefficient
+        resaved, fresh = tmp_path / "resaved.bin", tmp_path / "fresh.bin"
         save_checkpoint(resaved, loaded)
         save_checkpoint(fresh, ckpt)
-        assert json.loads(resaved.read_text())["format_version"] == 2
+        assert split_checkpoint(resaved)[0]["format_version"] == 3
         assert resaved.read_bytes() == fresh.read_bytes()
 
-    def test_arrays_stored_as_base64(self, tmp_path):
-        _, doc = self._saved_doc(tmp_path)
-        assert doc["format_version"] == 2
-        w1 = doc["params"]["w1"]
-        assert sorted(w1) == ["b64", "shape"] and w1["shape"] == [5, 10]
-        assert doc["norm_std"]["shape"] == [5]
+    def test_v1_fixture_loads_bitwise(self, tmp_path):
+        """tests/fixtures/checkpoint_v1.json is the format-1 file written
+        for ``TestCheckpoint._make()`` before format 2 existed."""
+        self._check_fixture(tmp_path, 1)
+
+    def test_v2_fixture_loads_bitwise(self, tmp_path):
+        """tests/fixtures/checkpoint_v2.json is the format-2 file written
+        for ``TestCheckpoint._make()`` before format 3 existed."""
+        self._check_fixture(tmp_path, 2)
+
+    def test_layout_is_header_line_then_raw_arrays(self, tmp_path):
+        ckpt = self._make()
+        path, header, body = self._saved(tmp_path)
+        keys = [slot for slot, _, _ in ModelParams.TRAINABLES] + [
+            "bn1_mean", "bn1_var", "bn2_mean", "bn2_var", "norm_mean", "norm_std",
+        ]
+        stored = checkpoint_arrays(ckpt)
+        assert header == {
+            "format_version": 3, "d": 8, "M": 3, "gene_list": ckpt.params.gene_list,
+            "grl": {"coefficient": 0.8}, "train_config": ckpt.train_config,
+            "domains": ["A", "B", "C"],
+            "arrays": [[key, list(shape)] for key, (shape, _) in zip(keys, stored)],
+        }
+        assert body == b"".join(raw for _, raw in stored)
+        # the header is one sorted, compact line: what checkpoint_to_json returns
+        assert path.read_bytes().startswith(checkpoint_to_json(ckpt).encode() + b"\n")
 
     def test_special_values_exact(self, tmp_path):
         ckpt = self._make()
@@ -405,7 +480,7 @@ class TestCheckpointFormat:
         truncate_b64, cut_padding, wrong_shape, negative_shape, drop_shape, non_base64,
     ])
     def test_malformed_array_is_parameter_error(self, tmp_path, corrupt):
-        path, doc = self._saved_doc(tmp_path)
+        path, doc = self._v2_doc(tmp_path)
         corrupt(doc["params"]["w1"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError):
@@ -413,7 +488,7 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("key,shape", [("disc_b2", (4,)), ("w1", (5, 12))])
     def test_array_of_wrong_shape_is_parameter_error(self, tmp_path, key, shape):
-        path, doc = self._saved_doc(tmp_path)
+        path, doc = self._v2_doc(tmp_path)
         doc["params"][key] = {
             "shape": list(shape),
             "b64": base64.b64encode(np.zeros(shape).tobytes()).decode("ascii"),
@@ -423,43 +498,32 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_missing_field_is_parameter_error(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path)
+        path, doc = self._v2_doc(tmp_path)
         del doc["params"]["bn2_var"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match="bn2_var"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key,value", [
-        ("M", "x"),
-        ("d", None),
-        ("grl", [1]),
-        ("grl", {"coefficient": "abc"}),
-        ("params", [1]),
-        ("train_config", [1, 2, 3]),
-        ("gene_list", 5),
-        ("M", 3.7),
-        ("d", 8.9),
-        ("domains", ["only"]),
-        ("domains", [1, 2, None]),
-        ("domains", ["A", "A", "B"]),
-        ("domains", "ABC"),
-        ("gene_list", "abcde"),
-        ("gene_list", [1, 2, 3, 4, 5]),
-        ("gene_list", ["a", "a", "b", "c", "d"]),
-    ], ids=["M-str", "d-null", "grl-list", "grl-str", "params-list", "config-list",
-            "genes-int", "M-float", "d-float", "domains-short",
-            "domains-not-str", "domains-repeated", "domains-str",
-            "genes-str", "genes-not-str", "genes-repeated"])
+    @pytest.mark.parametrize("key,value", MALFORMED_FIELDS, ids=MALFORMED_FIELD_IDS)
     def test_malformed_field_is_parameter_error(self, tmp_path, key, value):
-        path, doc = self._saved_doc(tmp_path)
+        path, doc = self._v2_doc(tmp_path)
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", MALFORMED_FIELDS, ids=MALFORMED_FIELD_IDS)
+    def test_malformed_header_field_is_parameter_error(self, tmp_path, key, value):
+        # a format-3 header lists its arrays where format 2 held them
+        path, header, body = self._saved(tmp_path)
+        header["arrays" if key == "params" else key] = value
+        write_checkpoint(path, header, body)
+        with pytest.raises(ParameterError, match=named(path)):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key", ["norm_mean", "norm_std"])
     def test_norm_stats_of_wrong_length_is_parameter_error(self, tmp_path, key):
-        path, doc = self._saved_doc(tmp_path)
+        path, doc = self._v2_doc(tmp_path)
         doc[key] = {
             "shape": [2],
             "b64": base64.b64encode(np.ones(2).tobytes()).decode("ascii"),
@@ -475,8 +539,62 @@ class TestCheckpointFormat:
         with pytest.raises(ParameterError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut, pattern", [
+        (lambda body: body[:-8], "checkpoint body holds 2504 bytes, its header lists 2512"),
+        (lambda body: body + b"\0", "checkpoint body holds 2513 bytes, its header lists 2512"),
+        (lambda body: b"", "checkpoint body holds 0 bytes"),
+    ], ids=["truncated", "trailing-byte", "no-body"])
+    def test_body_of_wrong_length_is_parameter_error(self, tmp_path, cut, pattern):
+        path, header, body = self._saved(tmp_path)
+        assert len(body) == 2512
+        write_checkpoint(path, header, cut(body))
+        with pytest.raises(ParameterError, match=named(path, pattern)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("index, shape, pattern", [
+        (0, [5, 12], r"checkpoint array 'w1' has shape \[5, 12\], expected \[5, 10\]"),
+        (13, [4], r"checkpoint array 'disc_b2' has shape \[4\], expected \[3\]"),
+        (19, [2], r"checkpoint array 'norm_std' has shape \[2\], expected \[5\]"),
+        (1, [-10], "every width must be >= 1"),
+        (11, [0], "every width must be >= 1"),
+    ], ids=["w1-genes", "disc_b2-domains", "norm_std-genes", "hidden-negative",
+            "disc_hidden-zero"])
+    def test_header_shape_against_widths_is_parameter_error(
+            self, tmp_path, index, shape, pattern):
+        path, header, body = self._saved(tmp_path)
+        header["arrays"][index][1] = shape
+        write_checkpoint(path, header, body)
+        with pytest.raises(ParameterError, match=named(path, pattern)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda arrays: arrays[:-1],
+        lambda arrays: arrays[1:] + arrays[:1],
+        lambda arrays: arrays + arrays[-1:],
+    ], ids=["one-missing", "out-of-order", "repeated"])
+    def test_header_listing_other_arrays_is_parameter_error(self, tmp_path, edit):
+        path, header, body = self._saved(tmp_path)
+        header["arrays"] = edit(header["arrays"])
+        write_checkpoint(path, header, body)
+        with pytest.raises(ParameterError, match=named(path, "checkpoint header must list")):
+            load_checkpoint(path)
+
+    def test_header_not_json_is_parameter_error(self, tmp_path):
+        path, _, body = self._saved(tmp_path)
+        path.write_bytes(b'{"format_version": 3,\n' + body)
+        with pytest.raises(ParameterError, match=named(path, "checkpoint is not")):
+            load_checkpoint(path)
+
+    def test_header_not_utf8_is_parameter_error(self, tmp_path):
+        path, header, body = self._saved(tmp_path)
+        line = json.dumps(header).replace('"g0"', '"caf\xe9"', 1).encode("latin-1")
+        path.write_bytes(line + b"\n" + body)
+        with pytest.raises(ParameterError, match=named(
+                path, "checkpoint is not UTF-8 text: cannot decode byte 0xe9$")):
+            load_checkpoint(path)
+
     def test_loaded_arrays_writable_for_adam(self, tmp_path):
-        path, _ = self._saved_doc(tmp_path)
+        path, _, _ = self._saved(tmp_path)
         loaded, fresh = load_checkpoint(path), self._make()
         stats = [loaded.params.bn1_stats, loaded.params.bn2_stats]
         for a in [t.value for t in loaded.params.trainables()] + [

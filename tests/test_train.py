@@ -10,7 +10,7 @@ from fourierdg import FourierDGError, TrainingDivergedError
 from fourierdg.data import select_hvg, zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
-from fourierdg.model import GrlConfig, batch_objective, checkpoint_to_json, init_params
+from fourierdg.model import GrlConfig, batch_objective, init_params, save_checkpoint
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import RngState
 from fourierdg.train import (
@@ -160,14 +160,16 @@ class TestTrainConfig:
 
 
 class TestFit:
-    def test_determinism_bitwise(self):
+    def test_determinism_bitwise(self, tmp_path):
         raw, metas = tiny_raw()
         cfg = TrainConfig(**TINY)
         runs = []
-        for _ in range(2):
+        for run in range(2):
             ckpt, logs = train_checkpoint(raw, metas, cfg)
+            path = tmp_path / f"ck{run}"
+            save_checkpoint(path, ckpt)
             runs.append(
-                (checkpoint_to_json(ckpt),
+                (path.read_bytes(),
                  [(l.losses.total, l.train_auc) for l in logs])
             )
         assert runs[0] == runs[1]
