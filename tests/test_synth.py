@@ -1,5 +1,7 @@
 """Behavior of the synthetic multi-domain generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,48 @@ class TestGenerate:
     def test_int_accepted_for_float(self):
         gm, _ = generate(small_cfg(noise=1, signature_strength=3))
         assert gm.values.tobytes() == generate(small_cfg())[0].values.tobytes()
+
+
+# sha256 of gm.values.tobytes() and of each row's
+# (sample_id, domain, repr(ic50), response), pinning every generated bit
+PINNED = [
+    (dict(),
+     "2033505865e99d222384e3d2c2f4c5c5bdec632c2d2a08ef84e58429624d64e4",
+     "fa298fccf5aae2238e5c4d34d0056674c135030c6d52d8330a1fde041500fcbc"),
+    # train_ref's cohort
+    (dict(genes=1000, per_domain=100, seed=0),
+     "3330476bd38e0c856ba7695ef38119f480f50ef3ba03f5ea1530d3e3d82cc04d",
+     "fa298fccf5aae2238e5c4d34d0056674c135030c6d52d8330a1fde041500fcbc"),
+    # score_io's scoring cohort
+    (dict(genes=1000, per_domain=200, seed=1000003),
+     "3dab73af228a2f2d8e10969f4f8ed66d0df87cee924948349cddf60086d03fd5",
+     "272e6d5497f795b12b7c2cce32b7cdb2beac5220506c1f1982e70de1a964e299"),
+    # no sensitive row, then no resistant row, in each domain
+    (dict(sensitive_fraction=0.004),
+     "2433091d33770ae03ba4d9cf534657ced76ebbbe0833da8ff225d51bc644eeb7",
+     "2d12543e068860d06eb103a45cb67f3104315f14db9d97a4ec28bc6b6227e874"),
+    (dict(sensitive_fraction=0.996),
+     "c93726ff4cc4b56f6d9cc4d2c5531dc0f1aeb771609512958e7688594842be8e",
+     "c8311ec4ecc2ba2de52ab4d26251bc08b1346e38c04bb548ac46e1dfd529c766"),
+    (dict(noise=0, signature_strength=2, mechanism_strength=3, domain_shift_strength=1),
+     "67adc89e16d8c2787da095129cef5c833d62e93ede8df4e53cc7a44d07e5fa6a",
+     "fa298fccf5aae2238e5c4d34d0056674c135030c6d52d8330a1fde041500fcbc"),
+]
+
+
+@pytest.mark.parametrize("overrides,values_sha,metas_sha", PINNED)
+def test_generated_bits_pinned(overrides, values_sha, metas_sha):
+    cfg = SynthConfig(**overrides)
+    gm, metas = generate(cfg)
+    rows = hashlib.sha256()
+    assert gm.sample_ids == [m.sample_id for m in metas]
+    for m in metas:
+        rows.update(repr((m.sample_id, m.domain, repr(m.ic50), m.response)).encode())
+    got = (hashlib.sha256(gm.values.tobytes()).hexdigest(), rows.hexdigest())
+    assert got == (values_sha, metas_sha), (
+        f"{cfg}: values {got[0]} (pinned {values_sha}), "
+        f"metadata {got[1]} (pinned {metas_sha})"
+    )
 
 
 class TestLinearProbeOracle:
