@@ -67,9 +67,19 @@ class SampleMeta:
             raise ParameterError(
                 f"sample {self.sample_id!r} needs ic50 or response"
             )
-        if self.response is not None and self.response not in (0, 1):
+        # only values that write_metadata writes back as load_metadata reads
+        # them: a bool is written as True, a float response as 1.0
+        if self.response is not None and not (
+            isinstance(self.response, (int, np.integer))
+            and not isinstance(self.response, bool) and self.response in (0, 1)
+        ):
             raise ParameterError(
-                f"sample {self.sample_id!r}: response must be 0 or 1"
+                f"sample {self.sample_id!r}: response must be 0 or 1, "
+                f"got {self.response!r}"
+            )
+        if isinstance(self.ic50, (bool, np.bool_)):
+            raise ParameterError(
+                f"sample {self.sample_id!r}: ic50 must be a number, got {self.ic50!r}"
             )
         if self.ic50 is not None and not math.isfinite(self.ic50):
             raise ParameterError(f"sample {self.sample_id!r}: ic50 must be finite")

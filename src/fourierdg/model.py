@@ -112,14 +112,9 @@ class ModelParams:
         self.gene_list = list(gene_list)
         self.m_domains = int(m_domains)
         self.hidden, self.d, self.disc_hidden = int(hidden), int(d), int(disc_hidden)
-        if self.d % 2 != 0:
-            raise ParameterError(f"encoder output dimension must be even, got {self.d}")
-        widths = {
-            "genes": len(self.gene_list), "hidden": self.hidden, "d": self.d,
-            "disc_hidden": self.disc_hidden, "m_domains": self.m_domains, "one": 1,
-        }
-        if min(widths.values()) < 1:
-            raise ParameterError(f"every width must be >= 1, got {widths}")
+        widths = _model_widths(
+            len(self.gene_list), self.m_domains, self.hidden, self.d, self.disc_hidden
+        )
         shapes = [tuple(widths[w] for w in dims) for _, dims, _ in self.TRAINABLES]
         total = sum(math.prod(shape) for shape in shapes)
         self.values = zeros_mapped(total)
@@ -165,6 +160,22 @@ class ModelParams:
         for slot, _ in self.STATS:
             setattr(out, slot, getattr(self, slot).copy())
         return out
+
+
+def _model_widths(
+    n_genes: int, m_domains: int, hidden: int, d: int, disc_hidden: int
+) -> dict[str, int]:
+    """The named widths of ``ModelParams.TRAINABLES``; ParameterError unless
+    ``d`` is even and every width is at least 1."""
+    if d % 2 != 0:
+        raise ParameterError(f"encoder output dimension must be even, got {d}")
+    widths = {
+        "genes": n_genes, "hidden": hidden, "d": d,
+        "disc_hidden": disc_hidden, "m_domains": m_domains, "one": 1,
+    }
+    if min(widths.values()) < 1:
+        raise ParameterError(f"every width must be >= 1, got {widths}")
+    return widths
 
 
 def init_params(
@@ -327,11 +338,11 @@ def _decode_array(stored, version: int) -> Array:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _check_shape(key: str, shape, target: Array):
-    if list(shape) != list(target.shape):
+def _check_shape(key: str, shape, expected: tuple):
+    if list(shape) != list(expected):
         raise ParameterError(
             f"checkpoint array {key!r} has shape {list(shape)}, "
-            f"expected {list(target.shape)}"
+            f"expected {list(expected)}"
         )
 
 
@@ -348,19 +359,32 @@ def _stored_arrays(ckpt: Checkpoint) -> dict[str, Array]:
     }
 
 
+def _stored_shapes(widths: dict[str, int]) -> dict[str, tuple]:
+    """The shape of each array ``_stored_arrays`` gives for a model of
+    ``widths``, by key, in file order."""
+    shapes = {slot: tuple(widths[w] for w in dims)
+              for slot, dims, _ in ModelParams.TRAINABLES}
+    for slot, width in ModelParams.STATS:
+        bn = slot.removesuffix("_stats")
+        shapes[f"{bn}_mean"] = shapes[f"{bn}_var"] = (widths[width],)
+    shapes["norm_mean"] = shapes["norm_std"] = (widths["genes"],)
+    return shapes
+
+
 def _distinct_names(value) -> bool:
     """Whether a JSON value is a list of distinct strings."""
     return (isinstance(value, list) and all(isinstance(v, str) for v in value)
             and len(set(value)) == len(value))
 
 
-def checkpoint_from_dict(doc: dict) -> Checkpoint:
-    """Check a checkpoint's fields and rebuild it.
+def _checked_fields(doc: dict):
+    """Check a checkpoint document's fields, and each stored or listed
+    array shape against the shape its named widths imply, before anything
+    the size of the model is allocated.
 
-    ``doc`` is a whole format-1 (nested lists) or format-2 (base64)
-    document, or a format-3 header, whose listed shapes must be those of
-    the widths it names.  The arrays of a format-3 checkpoint are left as
-    a new model holds them, for ``load_checkpoint`` to read from the body.
+    Returns the shape of each array by key in file order, the decoded
+    arrays of a format-1 or format-2 document (none for a format-3 header),
+    the GRL set-up and the training config.
     """
     if not isinstance(doc, dict):
         raise ParameterError("checkpoint must be a JSON object")
@@ -370,11 +394,11 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
     try:
         if version == CHECKPOINT_FORMAT_VERSION:
             listed = doc["arrays"]
-            shapes = dict(listed)
+            stored = dict(listed)
         else:
             raw = {**doc["params"], "norm_mean": doc["norm_mean"],
                    "norm_std": doc["norm_std"]}
-            shapes = {key: _decode_array(raw[key], version).shape
+            stored = {key: _decode_array(raw[key], version).shape
                       for key in ("b1", "disc_b1")}
         m_domains, d, domains = doc["M"], doc["d"], doc["domains"]
         gene_list = doc["gene_list"]
@@ -389,36 +413,54 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             raise ParameterError(
                 "checkpoint field 'gene_list' must list distinct gene names"
             )
-        params = ModelParams(
-            gene_list, m_domains, hidden=math.prod(shapes["b1"]), d=d,
-            disc_hidden=math.prod(shapes["disc_b1"]),
-        )
-        n_genes = len(params.gene_list)
-        ckpt = Checkpoint(
-            params=params,
-            stats=NormStats(list(params.gene_list), np.zeros(n_genes), np.zeros(n_genes)),
-            grl=GrlConfig(coefficient=float(doc["grl"]["coefficient"])),
-            train_config=dict(doc["train_config"]),
-            domains=list(domains),
-        )
-        arrays = _stored_arrays(ckpt)
+        shapes = _stored_shapes(_model_widths(
+            len(gene_list), m_domains, math.prod(stored["b1"]), d,
+            math.prod(stored["disc_b1"]),
+        ))
         if version == CHECKPOINT_FORMAT_VERSION:
-            if [key for key, _ in listed] != list(arrays):
+            if [key for key, _ in listed] != list(shapes):
                 raise ParameterError(
-                    f"checkpoint header must list the arrays {list(arrays)} in order"
+                    f"checkpoint header must list the arrays {list(shapes)} in order"
                 )
-            for key, target in arrays.items():
-                _check_shape(key, shapes[key], target)
+            arrays = {}
         else:
-            for key, target in arrays.items():
-                value = _decode_array(raw[key], version)
-                _check_shape(key, value.shape, target)
-                target[...] = value
-        return ckpt
+            arrays = {key: _decode_array(raw[key], version) for key in shapes}
+            stored = {key: a.shape for key, a in arrays.items()}
+        for key, shape in shapes.items():
+            _check_shape(key, stored[key], shape)
+        grl = GrlConfig(coefficient=float(doc["grl"]["coefficient"]))
+        return shapes, arrays, grl, dict(doc["train_config"])
     except KeyError as e:
         raise ParameterError(f"checkpoint is missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ParameterError(f"malformed checkpoint: {e}") from None
+
+
+def checkpoint_from_dict(doc: dict) -> Checkpoint:
+    """Check a checkpoint's fields and rebuild it.
+
+    ``doc`` is a whole format-1 (nested lists) or format-2 (base64)
+    document, or a format-3 header, whose listed shapes must be those of
+    the widths it names.  The arrays of a format-3 checkpoint are left as
+    a new model holds them, for ``load_checkpoint`` to read from the body.
+    """
+    shapes, arrays, grl, train_config = _checked_fields(doc)
+    params = ModelParams(
+        doc["gene_list"], doc["M"], hidden=shapes["b1"][0], d=doc["d"],
+        disc_hidden=shapes["disc_b1"][0],
+    )
+    n_genes = len(params.gene_list)
+    ckpt = Checkpoint(
+        params=params,
+        stats=NormStats(list(params.gene_list), np.zeros(n_genes), np.zeros(n_genes)),
+        grl=grl,
+        train_config=train_config,
+        domains=list(doc["domains"]),
+    )
+    targets = _stored_arrays(ckpt)
+    for key, value in arrays.items():
+        targets[key][...] = value
+    return ckpt
 
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
@@ -477,10 +519,10 @@ def load_checkpoint(path) -> Checkpoint:
     the path.
 
     A first line that is a JSON object of a format other than 1 and 2 is
-    a header, checked by ``checkpoint_from_dict``; the rest of the file
-    must hold exactly the bytes of the arrays it lists, which are read
-    straight into the model.  Any other file is one JSON document of
-    format 1 or 2.
+    a header; the rest of the file must hold exactly the bytes of the
+    arrays it lists, which is checked, with the header, before the model is
+    built, and they are read straight into the model.  Any other file is
+    one JSON document of format 1 or 2.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -493,15 +535,15 @@ def load_checkpoint(path) -> Checkpoint:
             return checkpoint_from_dict(
                 _parse_json(first + rest) if rest or header is None else header
             )
-        ckpt = checkpoint_from_dict(header)
-        arrays = list(_stored_arrays(ckpt).values())
+        shapes = _checked_fields(header)[0]
         held = os.fstat(fh.fileno()).st_size - fh.tell()
-        want = sum(a.nbytes for a in arrays)
+        want = 8 * sum(math.prod(shape) for shape in shapes.values())
         if held != want:
             raise ParameterError(
                 f"checkpoint body holds {held} bytes, its header lists {want}"
             )
-        for a in arrays:
+        ckpt = checkpoint_from_dict(header)
+        for a in _stored_arrays(ckpt).values():
             if fh.readinto(a) != a.nbytes:
                 raise ParameterError("checkpoint body ended while it was read")
             if sys.byteorder == "big":

@@ -62,7 +62,8 @@ def generate(cfg: SynthConfig) -> tuple[GeneMatrix, list[SampleMeta]]:
     samples come first, then the resistant ones.  The emitted ic50 is a
     noisy monotone correlate of the label (sensitive low, resistant high)
     so label re-derivation and regression analyses have something to work
-    with.
+    with.  Each domain's rows are written with whole-array operations into
+    one preallocated matrix.
     """
     cfg.validate()
     rng = RngState(cfg.seed)
@@ -70,34 +71,27 @@ def generate(cfg: SynthConfig) -> tuple[GeneMatrix, list[SampleMeta]]:
     mechanisms = np.vstack([_unit(rng, cfg.genes) for _ in range(cfg.mechanisms)])
     shifts = np.vstack([_unit(rng, cfg.genes) for _ in range(cfg.domains)])
 
-    n_sens = int(round(cfg.sensitive_fraction * cfg.per_domain))
+    n, n_sens = cfg.per_domain, int(round(cfg.sensitive_fraction * cfg.per_domain))
+    values = np.empty((cfg.domains * n, cfg.genes))
+    sign = np.where(np.arange(n) < n_sens, -1.0, 1.0)
     sample_ids: list[str] = []
     metas: list[SampleMeta] = []
-    blocks: list[np.ndarray] = []
     for m in range(cfg.domains):
         domain = f"D{m}"
-        n = cfg.per_domain
+        block = values[m * n:(m + 1) * n]
         noise = rng.normal((n, cfg.genes))
         mech_idx = rng.integers(0, cfg.mechanisms, (n - n_sens,))
-        ic50_noise = rng.normal((n,))
-        rows = np.empty((n, cfg.genes))
+        ic50 = sign + 0.5 * rng.normal((n,))
         base = cfg.domain_shift_strength * shifts[m]
-        for i in range(n):
-            sensitive = i < n_sens
-            if sensitive:
-                core = cfg.signature_strength * signature
-            else:
-                core = cfg.mechanism_strength * mechanisms[mech_idx[i - n_sens]]
-            rows[i] = base + core + cfg.noise * noise[i]
+        block[:n_sens] = base + cfg.signature_strength * signature
+        block[n_sens:] = base + cfg.mechanism_strength * mechanisms[mech_idx]
+        noise *= cfg.noise
+        block += noise
+        for i, value in enumerate(ic50.tolist()):
             sid = f"{domain}_s{i:03d}"
             sample_ids.append(sid)
-            ic50 = (-1.0 if sensitive else 1.0) + 0.5 * ic50_noise[i]
-            metas.append(
-                SampleMeta(sid, domain, ic50=float(ic50),
-                           response=1 if sensitive else 0)
-            )
-        blocks.append(rows)
+            metas.append(SampleMeta(sid, domain, ic50=value, response=int(i < n_sens)))
 
     gene_names = [f"g{j:04d}" for j in range(cfg.genes)]
-    gm = GeneMatrix(sample_ids, gene_names, np.vstack(blocks))
+    gm = GeneMatrix(sample_ids, gene_names, values)
     return gm, metas

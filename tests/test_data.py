@@ -403,6 +403,28 @@ class TestLoadMetadata:
         write_metadata(path, metas)
         assert load_metadata(path) == metas
 
+    @pytest.mark.parametrize("fields", [
+        dict(response=True),
+        dict(response=np.True_),
+        dict(response=1.0),
+        dict(response=np.float64(0.0)),
+        dict(response=2),
+        dict(ic50=True),
+        dict(ic50=np.False_),
+    ], ids=repr)
+    def test_values_the_writer_cannot_write_back_rejected(self, fields):
+        # write_metadata would write True or 1.0, which load_metadata rejects
+        with pytest.raises(ParameterError, match="sample 's1': (response|ic50) must be"):
+            SampleMeta("s1", "A", **fields)
+
+    def test_numpy_numbers_round_trip(self, tmp_path):
+        metas = [SampleMeta("s1", "A", response=np.int64(1)),
+                 SampleMeta("s2", "A", ic50=np.float64(0.5), response=np.int32(0)),
+                 SampleMeta("s3", "B", ic50=2)]
+        path = tmp_path / "m.csv"
+        write_metadata(path, metas)
+        assert load_metadata(path) == metas
+
 
 ENCODING_VARIANTS = [
     pytest.param(b"", b"\n", id="plain"),

@@ -1,5 +1,5 @@
-"""Memory bounds of the scoring hand-off: ingest, checkpoint save and
-load, gene and sample gathers, scoring.
+"""Memory bounds of the scoring hand-off: cohort generation, ingest,
+checkpoint save and load, gene and sample gathers, scoring.
 
 Each bound is on the tracemalloc peak, the most bytes that Python and
 numpy held at once during the call, counted from its start.  Unlike RSS
@@ -49,6 +49,14 @@ def test_load_expression_holds_about_one_matrix(tmp_path):
     assert back.values.tobytes() == gm.values.tobytes()
     # the file text, its lines and a Python float per cell are never held
     assert peak <= 3 * gm.values.nbytes, peak / gm.values.nbytes
+
+
+def test_generate_writes_rows_in_place():
+    # score_io's scoring cohort
+    (gm, _), peak = traced_peak(generate, SynthConfig(genes=1000, per_domain=200, seed=7))
+    # one domain's noise draw and row temporaries beside the output; no
+    # per-domain blocks stacked into a second copy
+    assert peak <= 1.6 * gm.values.nbytes, peak / gm.values.nbytes
 
 
 def reference_shaped_checkpoint():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fourierdg import fourier
+from fourierdg import fourier, model
 from fourierdg.data import NormStats
 from fourierdg.errors import DimensionError, ParameterError, TapeError
 from fourierdg.losses import asymmetric_loss, classification_loss, domain_adversarial_loss
@@ -577,6 +577,46 @@ class TestCheckpointFormat:
         header["arrays"] = edit(header["arrays"])
         write_checkpoint(path, header, body)
         with pytest.raises(ParameterError, match=named(path, "checkpoint header must list")):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _refuse_model_allocation(monkeypatch):
+        """Fail at once, not after minutes, if a load starts to build a model."""
+        def refuse(*args):
+            raise AssertionError(f"model allocated for {args}")
+        monkeypatch.setattr(fourier, "build_basis", refuse)
+        monkeypatch.setattr(model, "zeros_mapped", refuse)
+
+    def test_v2_width_is_checked_before_allocating(self, tmp_path, monkeypatch):
+        # its basis alone would take 320 GB
+        path, doc = self._v2_doc(tmp_path)
+        doc["d"] = 200000
+        path.write_text(json.dumps(doc))
+        self._refuse_model_allocation(monkeypatch)
+        with pytest.raises(ParameterError, match=named(
+                path, r"checkpoint array 'w2' has shape \[10, 8\], expected \[10, 200000\]")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, pattern", [
+        (lambda header: header.update(d=200000),
+         r"checkpoint array 'w2' has shape \[10, 8\], expected \[10, 200000\]"),
+        (lambda header: header["arrays"][1].__setitem__(1, [10**9]),
+         r"checkpoint array 'w1' has shape \[5, 10\], expected \[5, 1000000000\]"),
+    ], ids=["d", "b1"])
+    def test_header_widths_are_checked_before_allocating(
+            self, tmp_path, monkeypatch, edit, pattern):
+        path, header, body = self._saved(tmp_path)
+        edit(header)
+        write_checkpoint(path, header, body)
+        self._refuse_model_allocation(monkeypatch)
+        with pytest.raises(ParameterError, match=named(path, pattern)):
+            load_checkpoint(path)
+
+    def test_body_length_is_checked_before_allocating(self, tmp_path, monkeypatch):
+        path, header, body = self._saved(tmp_path)
+        write_checkpoint(path, header, body[:-8])
+        self._refuse_model_allocation(monkeypatch)
+        with pytest.raises(ParameterError, match=named(path, "checkpoint body holds 2504")):
             load_checkpoint(path)
 
     def test_header_not_json_is_parameter_error(self, tmp_path):

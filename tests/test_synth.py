@@ -1,14 +1,16 @@
 """Behavior of the synthetic multi-domain generator."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from fourierdg.data import lodo_split
+from fourierdg.data import SampleMeta, lodo_split
 from fourierdg.errors import ParameterError
 from fourierdg.evaluate import auroc
 from fourierdg.synth import SynthConfig, generate
+from fourierdg.tensor_core import RngState
 
 
 def small_cfg(**overrides):
@@ -158,6 +160,46 @@ def test_generated_bits_pinned(overrides, values_sha, metas_sha):
         f"{cfg}: values {got[0]} (pinned {values_sha}), "
         f"metadata {got[1]} (pinned {metas_sha})"
     )
+
+
+def loop_generate(cfg):
+    """The generator as one Python loop per row, the reference for the
+    whole-array ``generate``: the same draws in the same order and the
+    same float operations per element."""
+    rng = RngState(cfg.seed)
+    unit = [rng.normal((cfg.genes,)) for _ in range(1 + cfg.mechanisms + cfg.domains)]
+    signature, *directions = [v / np.linalg.norm(v) for v in unit]
+    mechanisms, shifts = directions[:cfg.mechanisms], directions[cfg.mechanisms:]
+    n_sens = int(round(cfg.sensitive_fraction * cfg.per_domain))
+    rows, metas = [], []
+    for m in range(cfg.domains):
+        noise = rng.normal((cfg.per_domain, cfg.genes))
+        mech_idx = rng.integers(0, cfg.mechanisms, (cfg.per_domain - n_sens,))
+        ic50_noise = rng.normal((cfg.per_domain,))
+        base = cfg.domain_shift_strength * shifts[m]
+        for i in range(cfg.per_domain):
+            sensitive = i < n_sens
+            core = (cfg.signature_strength * signature if sensitive else
+                    cfg.mechanism_strength * mechanisms[mech_idx[i - n_sens]])
+            rows.append(base + core + cfg.noise * noise[i])
+            ic50 = (-1.0 if sensitive else 1.0) + 0.5 * ic50_noise[i]
+            metas.append(SampleMeta(f"D{m}_s{i:03d}", f"D{m}", float(ic50), int(sensitive)))
+    return np.vstack(rows), metas
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(domains=2, genes=1, per_domain=1, sensitive_fraction=0.9),
+    dict(domains=4, genes=7, per_domain=13, mechanisms=9, seed=11),
+    dict(genes=30, per_domain=9, sensitive_fraction=0.3, noise=0.25,
+         signature_strength=0.5, domain_shift_strength=0.0, seed=2**64 + 3),
+], ids=["one-row", "many-mechanisms", "odd-strengths"])
+def test_generate_matches_the_row_loop(overrides):
+    cfg = SynthConfig(**overrides)
+    gm, metas = generate(cfg)
+    values, loop_metas = loop_generate(cfg)
+    assert gm.values.tobytes() == values.tobytes()
+    assert [repr(dataclasses.astuple(m)) for m in metas] == [
+        repr(dataclasses.astuple(m)) for m in loop_metas]
 
 
 class TestLinearProbeOracle:
