@@ -52,7 +52,7 @@ def test_load_expression_holds_about_one_matrix(tmp_path):
 
 
 def test_generate_writes_rows_in_place():
-    # score_io's scoring cohort
+    # the size of score_io's scoring cohort
     (gm, _), peak = traced_peak(generate, SynthConfig(genes=1000, per_domain=200, seed=7))
     # one domain's noise draw and row temporaries beside the output; no
     # per-domain blocks stacked into a second copy

@@ -151,8 +151,8 @@ PINNED = [
 def test_generated_bits_pinned(overrides, values_sha, metas_sha):
     cfg = SynthConfig(**overrides)
     gm, metas = generate(cfg)
-    rows = hashlib.sha256()
     assert gm.sample_ids == [m.sample_id for m in metas]
+    rows = hashlib.sha256()
     for m in metas:
         rows.update(repr((m.sample_id, m.domain, repr(m.ic50), m.response)).encode())
     got = (hashlib.sha256(gm.values.tobytes()).hexdigest(), rows.hexdigest())
