@@ -1,5 +1,6 @@
 """Training loop behavior: batching, optimization, determinism, logging."""
 
+import hashlib
 import warnings
 from dataclasses import asdict
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from fourierdg import FourierDGError, TrainingDivergedError
-from fourierdg.data import select_hvg, zscore_fit_apply
+from fourierdg.data import align_genes, select_hvg, zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
-from fourierdg.model import GrlConfig, batch_objective, init_params, save_checkpoint
+from fourierdg.model import GrlConfig, batch_objective, encode, init_params, save_checkpoint
 from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import RngState
 from fourierdg.train import (
@@ -303,6 +304,36 @@ class TestTrainCheckpoint:
         assert ckpt.train_config == asdict(cfg)
         assert ckpt.grl.coefficient == cfg.grl_coefficient
         assert ckpt.domains == ["D0", "D1", "D2"]
+
+
+@pytest.mark.parametrize("genes, hidden, d, per_domain, encode_sha, predict_sha", [
+    # genes != hidden
+    (30, 20, 12, 10,
+     "9b69c82f4707f8f07dee6fd9ef2cd2c016d581f11e549a91f3cb04683e308e81",
+     "e91fdaaabf0c147455078e403848107c4905763a95d9a37f2349bcaf8fd1e7b2"),
+    # 21 cohort rows
+    (16, 16, 16, 7,
+     "6df98cadd7970b8650e8de040890d6c21660d01c7df9c479207bba1e27955086",
+     "bbb5dbc1c99bea8f144d30a88a678d2e8a3a210e6293e7e37f0b5fc497602b17"),
+])
+def test_eval_bits_pinned(genes, hidden, d, per_domain, encode_sha, predict_sha):
+    """The eval-mode encoder output and the ``predict`` scores of a trained
+    model, bit for bit."""
+    gm, metas = generate(SynthConfig(domains=3, genes=genes, per_domain=10, seed=4))
+    cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, seed=5,
+                      enc_hidden=hidden, enc_out=d, disc_hidden=8)
+    ckpt, _ = train_checkpoint(gm, metas, cfg)
+    cohort, _ = generate(SynthConfig(domains=3, genes=genes, per_domain=per_domain, seed=6))
+    cohort = align_genes(cohort, cohort.gene_names[::-1])
+    standardized, _ = zscore_fit_apply(align_genes(cohort, ckpt.params.gene_list), ckpt.stats)
+    h = encode(standardized.values, ckpt.params, "eval")
+    assert h.shape == (3 * per_domain, d)
+    got = (hashlib.sha256(h.tobytes()).hexdigest(),
+           hashlib.sha256(predict(cohort, ckpt).tobytes()).hexdigest())
+    assert got == (encode_sha, predict_sha), (
+        f"{cfg}: encode {got[0]} (pinned {encode_sha}), "
+        f"predict {got[1]} (pinned {predict_sha})"
+    )
 
 
 class TestConvergenceOnDefaultBenchmark:
