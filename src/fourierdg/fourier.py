@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .tensor_core import Array, GradTape
 
+MAX_DIM = 4096  # largest model dimension d: a 134 MB basis
+
 
 class FourierBasis:
     """Immutable d x d real-Fourier basis; row r is basis vector b_r."""

@@ -35,6 +35,7 @@ from .tensor_core import (
     affine,
     batchnorm,
     dropout,
+    eval_norm_relu,
     flat_views,
     grad_check,
     relu,
@@ -166,9 +167,10 @@ def _model_widths(
     n_genes: int, m_domains: int, hidden: int, d: int, disc_hidden: int
 ) -> dict[str, int]:
     """The named widths of ``ModelParams.TRAINABLES``; ParameterError unless
-    ``d`` is even and every width is at least 1."""
-    if d % 2 != 0:
-        raise ParameterError(f"encoder output dimension must be even, got {d}")
+    ``d`` is even and at most ``fourier.MAX_DIM`` and every width is at
+    least 1."""
+    if d % 2 != 0 or d > fourier.MAX_DIM:
+        raise ParameterError(f"d must be even and at most {fourier.MAX_DIM}, got {d}")
     widths = {
         "genes": n_genes, "hidden": hidden, "d": d,
         "disc_hidden": disc_hidden, "m_domains": m_domains, "one": 1,
@@ -212,21 +214,32 @@ def encode(
     dropout_p: float = 0.0,
     tape: Optional[GradTape] = None,
 ) -> Array:
-    """Two-block feature extractor; output width params.d."""
+    """Two-block feature extractor; output width params.d.
+
+    ``"train"`` mode records on ``tape``.  ``"eval"`` records nothing: it
+    normalizes by the running statistics and applies ReLU in the buffer
+    each affine returned, and skips dropout, the identity there."""
+    if mode not in ("train", "eval"):
+        raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(params.gene_list):
         raise DimensionError(
             f"expected {len(params.gene_list)} gene columns, got "
             f"{x.shape[1] if x.ndim == 2 else 'non-matrix input'}"
         )
+    if mode == "eval":
+        h = affine(x, params.w1, params.b1)
+        h = eval_norm_relu(h, params.bn1_gamma, params.bn1_beta, params.bn1_stats)
+        h = affine(h, params.w2, params.b2)
+        return eval_norm_relu(h, params.bn2_gamma, params.bn2_beta, params.bn2_stats)
     h = affine(x, params.w1, params.b1, tape, input_grad=False)
-    h = batchnorm(h, params.bn1_gamma, params.bn1_beta, params.bn1_stats, mode, tape)
+    h = batchnorm(h, params.bn1_gamma, params.bn1_beta, params.bn1_stats, tape)
     h = relu(h, tape)
-    h = dropout(h, dropout_p, rng, mode, tape)
+    h = dropout(h, dropout_p, rng, tape)
     h = affine(h, params.w2, params.b2, tape)
-    h = batchnorm(h, params.bn2_gamma, params.bn2_beta, params.bn2_stats, mode, tape)
+    h = batchnorm(h, params.bn2_gamma, params.bn2_beta, params.bn2_stats, tape)
     h = relu(h, tape)
-    h = dropout(h, dropout_p, rng, mode, tape)
+    h = dropout(h, dropout_p, rng, tape)
     return h
 
 
@@ -338,14 +351,6 @@ def _decode_array(stored, version: int) -> Array:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _check_shape(key: str, shape, expected: tuple):
-    if list(shape) != list(expected):
-        raise ParameterError(
-            f"checkpoint array {key!r} has shape {list(shape)}, "
-            f"expected {list(expected)}"
-        )
-
-
 def _stored_arrays(ckpt: Checkpoint) -> dict[str, Array]:
     """The arrays a checkpoint stores, by key, in file order: the
     trainables, each batch norm's running statistics, then the
@@ -401,10 +406,15 @@ def _checked_fields(doc: dict):
             stored = {key: _decode_array(raw[key], version).shape
                       for key in ("b1", "disc_b1")}
         m_domains, d, domains = doc["M"], doc["d"], doc["domains"]
-        gene_list = doc["gene_list"]
-        for key, value in (("M", m_domains), ("d", d)):
-            if type(value) is not int:  # a JSON integer: bool and float are not
-                raise ParameterError(f"checkpoint field {key!r} must be an integer")
+        gene_list, train_config = doc["gene_list"], doc["train_config"]
+        coefficient = doc["grl"]["coefficient"]
+        # exact JSON types: a bool is not a number, nor a numeric string
+        for key, value, types, what in (
+                ("M", m_domains, (int,), "an integer"), ("d", d, (int,), "an integer"),
+                ("grl.coefficient", coefficient, (int, float), "a number"),
+                ("train_config", train_config, (dict,), "an object")):
+            if type(value) not in types:
+                raise ParameterError(f"checkpoint field {key!r} must be {what}")
         if not (_distinct_names(domains) and len(domains) == m_domains):
             raise ParameterError(
                 f"checkpoint field 'domains' must list {m_domains} distinct names"
@@ -427,9 +437,10 @@ def _checked_fields(doc: dict):
             arrays = {key: _decode_array(raw[key], version) for key in shapes}
             stored = {key: a.shape for key, a in arrays.items()}
         for key, shape in shapes.items():
-            _check_shape(key, stored[key], shape)
-        grl = GrlConfig(coefficient=float(doc["grl"]["coefficient"]))
-        return shapes, arrays, grl, dict(doc["train_config"])
+            if list(stored[key]) != list(shape):
+                raise ParameterError(f"checkpoint array {key!r} has shape "
+                                     f"{list(stored[key])}, expected {list(shape)}")
+        return shapes, arrays, GrlConfig(float(coefficient)), dict(train_config)
     except KeyError as e:
         raise ParameterError(f"checkpoint is missing field {e}") from None
     except (TypeError, ValueError) as e:

@@ -148,11 +148,6 @@ class RunningStats:
         return out
 
 
-def _check_mode(mode: str):
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-
 def affine(
     x: Array,
     w: Param,
@@ -210,78 +205,66 @@ def sigmoid(x: Array, tape: Optional[GradTape] = None) -> Array:
 
 
 def batchnorm(
-    x: Array,
-    gamma: Param,
-    beta: Param,
-    state: RunningStats,
-    mode: str,
-    tape: Optional[GradTape] = None,
+    x: Array, gamma: Param, beta: Param, state: RunningStats, tape: Optional[GradTape] = None
 ) -> Array:
-    """Per-column batch normalization.
-
-    Train mode normalizes by the batch mean and population variance and
-    updates the running statistics; eval mode normalizes by the running
-    statistics and records no backward.  Backward implements the standard
-    batch-norm gradient.
-    """
-    _check_mode(mode)
-    if mode == "eval" and tape is not None:
-        raise ParameterError("batchnorm records no backward in eval mode")
+    """Per-column batch normalization of a training batch by its mean and
+    population variance; updates the running statistics that
+    :func:`eval_norm_relu` normalizes by.  Backward implements the standard
+    batch-norm gradient."""
     m = x.shape[1]
     if gamma.value.shape != (m,) or beta.value.shape != (m,):
         raise DimensionError("gamma/beta must match the column count")
-    if mode == "train":
-        b = x.shape[0]
-        if b < 2:
-            raise BatchSizeError(f"batchnorm train mode needs batch >= 2, got {b}")
-        # population variance in one centring pass; the same operations as
-        # x.var(axis=0), so bitwise equal to it
-        mu = x.mean(axis=0)
-        xc = x - mu
-        var = (xc * xc).mean(axis=0)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = xc * inv
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
-        y = gamma.value * xhat + beta.value
-        if tape is not None:
-            def backward(dy):
-                gamma.grad += (dy * xhat).sum(axis=0)
-                beta.grad += dy.sum(axis=0)
-                dxhat = dy * gamma.value
-                return (inv / b) * (
-                    b * dxhat
-                    - dxhat.sum(axis=0)
-                    - xhat * (dxhat * xhat).sum(axis=0)
-                )
-            tape.record(backward)
-    else:
-        # ((x - mean) * inv) * gamma + beta, in one buffer of its own
-        inv = 1.0 / np.sqrt(state.var + BN_EPS)
-        y = np.subtract(x, state.mean)
-        y *= inv
-        y *= gamma.value
-        y += beta.value
+    b = x.shape[0]
+    if b < 2:
+        raise BatchSizeError(f"batchnorm needs batch >= 2, got {b}")
+    # population variance in one centring pass; the same operations as
+    # x.var(axis=0), so bitwise equal to it
+    mu = x.mean(axis=0)
+    xc = x - mu
+    var = (xc * xc).mean(axis=0)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = xc * inv
+    state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+    state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+    y = gamma.value * xhat + beta.value
+    if tape is not None:
+        def backward(dy):
+            gamma.grad += (dy * xhat).sum(axis=0)
+            beta.grad += dy.sum(axis=0)
+            dxhat = dy * gamma.value
+            return (inv / b) * (
+                b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+            )
+        tape.record(backward)
     return y
 
 
+def eval_norm_relu(h: Array, gamma: Param, beta: Param, state: RunningStats) -> Array:
+    """Inference batch-norm by the running statistics, then ReLU, in ``h``'s
+    own buffer; returns ``h`` and records no backward.  The same IEEE
+    operations, in order, as normalizing into a new array, then :func:`relu`."""
+    if gamma.value.shape != (h.shape[1],) or beta.value.shape != (h.shape[1],):
+        raise DimensionError("gamma/beta must match the column count")
+    h -= state.mean
+    h *= 1.0 / np.sqrt(state.var + BN_EPS)
+    h *= gamma.value
+    h += beta.value
+    return np.maximum(h, 0.0, out=h)
+
+
 def dropout(
-    x: Array,
-    p: float,
-    rng: Optional[RngState],
-    mode: str,
-    tape: Optional[GradTape] = None,
+    x: Array, p: float, rng: Optional[RngState], tape: Optional[GradTape] = None
 ) -> Array:
-    """Inverted dropout: zero entries with probability p, scale by 1/(1-p)."""
-    _check_mode(mode)
+    """Inverted dropout of a training batch: zero entries with probability
+    p, scale by 1/(1-p).  The eval forward does not call it."""
     if not (0.0 <= p < 1.0):
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+    if p == 0.0:
         if tape is not None:
             tape.record(lambda dy: dy)
         return x
     if rng is None:
-        raise ParameterError("dropout in train mode requires an RngState")
+        raise ParameterError("dropout with p > 0 requires an RngState")
     scale = 1.0 / (1.0 - p)
     mask = (rng.random(x.shape) >= p) * scale
     y = x * mask

@@ -58,8 +58,10 @@ class TrainConfig:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
-        if self.enc_out % 2 != 0 or self.enc_out < 2:
-            raise ParameterError(f"enc_out must be even and >= 2, got {self.enc_out}")
+        if self.enc_out % 2 != 0 or not 2 <= self.enc_out <= fourier.MAX_DIM:
+            raise ParameterError(
+                f"enc_out must be even and in [2, {fourier.MAX_DIM}], got {self.enc_out}"
+            )
         if self.enc_hidden < 1 or self.disc_hidden < 1:
             raise ParameterError("hidden widths must be >= 1")
 

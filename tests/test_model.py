@@ -3,6 +3,7 @@ reduced-model gradient audit."""
 
 import base64
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -147,9 +148,16 @@ class TestEncode:
         params = small_params()
         before_mean = params.bn1_stats.mean.copy()
         before_var = params.bn2_stats.var.copy()
-        encode(np.random.default_rng(1).standard_normal((4, 12)), params, "eval")
+        x = np.random.default_rng(1).standard_normal((4, 12))
+        x_before = x.copy()
+        encode(x, params, "eval")
         assert np.array_equal(params.bn1_stats.mean, before_mean)
         assert np.array_equal(params.bn2_stats.var, before_var)
+        assert x.tobytes() == x_before.tobytes()
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ParameterError, match="'test'"):
+            encode(np.zeros((3, 12)), small_params(), "test")
 
 
 class TestForwardFull:
@@ -405,12 +413,15 @@ MALFORMED_FIELDS = [
     ("gene_list", [1, 2, 3, 4, 5]),
     ("gene_list", ["a", "a", "b", "c", "d"]),
     ("d", -2),
+    ("grl", {"coefficient": True}),
+    ("grl", {"coefficient": "1.5"}),
+    ("train_config", [["lr", 1]]),
 ]
 MALFORMED_FIELD_IDS = [
     "M-str", "d-null", "grl-list", "grl-str", "params-list", "config-list",
     "genes-int", "M-float", "d-float", "domains-short", "domains-not-str",
     "domains-repeated", "domains-str", "genes-str", "genes-not-str", "genes-repeated",
-    "d-negative",
+    "d-negative", "grl-bool", "grl-numeric-str", "config-pairs",
 ]
 
 
@@ -594,12 +605,11 @@ class TestCheckpointFormat:
         path.write_text(json.dumps(doc))
         self._refuse_model_allocation(monkeypatch)
         with pytest.raises(ParameterError, match=named(
-                path, r"checkpoint array 'w2' has shape \[10, 8\], expected \[10, 200000\]")):
+                path, "d must be even and at most 4096, got 200000$")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, pattern", [
-        (lambda header: header.update(d=200000),
-         r"checkpoint array 'w2' has shape \[10, 8\], expected \[10, 200000\]"),
+        (lambda header: header.update(d=200000), "d must be even and at most 4096, got 200000$"),
         (lambda header: header["arrays"][1].__setitem__(1, [10**9]),
          r"checkpoint array 'w1' has shape \[5, 10\], expected \[5, 1000000000\]"),
     ], ids=["d", "b1"])
@@ -610,6 +620,21 @@ class TestCheckpointFormat:
         write_checkpoint(path, header, body)
         self._refuse_model_allocation(monkeypatch)
         with pytest.raises(ParameterError, match=named(path, pattern)):
+            load_checkpoint(path)
+
+    def test_d_above_the_cap_is_refused_before_allocating(self, tmp_path, monkeypatch):
+        # every listed shape (d is the only width of 8) and the body's length
+        # agree with the new d, so only the cap stops a d x d basis
+        path, header, _ = self._saved(tmp_path)
+        d = fourier.MAX_DIM + 2
+        header["d"] = d
+        header["arrays"] = [[key, [d if n == 8 else n for n in shape]]
+                            for key, shape in header["arrays"]]
+        floats = sum(math.prod(shape) for _, shape in header["arrays"])
+        write_checkpoint(path, header, bytes(8 * floats))
+        self._refuse_model_allocation(monkeypatch)
+        with pytest.raises(ParameterError, match=named(
+                path, f"d must be even and at most {fourier.MAX_DIM}, got {d}$")):
             load_checkpoint(path)
 
     def test_body_length_is_checked_before_allocating(self, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from fourierdg.tensor_core import (
     affine,
     batchnorm,
     dropout,
+    eval_norm_relu,
     grad_check,
     relu,
     sigmoid,
@@ -93,7 +94,7 @@ class TestBatchNorm:
     def test_two_sample_column(self):
         # mean 2, population variance 1, so outputs are +-1/sqrt(1+eps)
         gamma, beta = Param(np.ones(1)), Param(np.zeros(1))
-        y = batchnorm(np.array([[1.0], [3.0]]), gamma, beta, RunningStats(1), "train")
+        y = batchnorm(np.array([[1.0], [3.0]]), gamma, beta, RunningStats(1))
         delta = 1.0 - abs(y[0, 0])
         assert y[0, 0] < 0 < y[1, 0]
         assert 0 < delta < 1e-5
@@ -102,23 +103,23 @@ class TestBatchNorm:
     def test_eval_identity_stats(self):
         gamma, beta = Param(np.ones(2)), Param(np.zeros(2))
         x = np.array([[0.4, -1.2], [0.9, 0.1]])
-        y = batchnorm(x, gamma, beta, RunningStats(2), "eval")
-        assert np.allclose(y, x, atol=1e-5)
+        y = eval_norm_relu(x.copy(), gamma, beta, RunningStats(2))
+        assert np.allclose(y, np.maximum(x, 0.0), atol=1e-5)
 
     def test_constant_column(self):
         gamma, beta = Param(np.ones(1)), Param(np.zeros(1))
-        y = batchnorm(np.array([[5.0], [5.0]]), gamma, beta, RunningStats(1), "train")
+        y = batchnorm(np.array([[5.0], [5.0]]), gamma, beta, RunningStats(1))
         assert np.array_equal(y, [[0.0], [0.0]])
 
     def test_small_batch_rejected(self):
         with pytest.raises(BatchSizeError):
             batchnorm(np.ones((1, 2)), Param(np.ones(2)), Param(np.zeros(2)),
-                      RunningStats(2), "train")
+                      RunningStats(2))
 
     def test_running_stats_update(self):
         state = RunningStats(1)
         x = np.array([[1.0], [3.0]])
-        batchnorm(x, Param(np.ones(1)), Param(np.zeros(1)), state, "train")
+        batchnorm(x, Param(np.ones(1)), Param(np.zeros(1)), state)
         # momentum 0.1 toward batch mean 2, population var 1
         assert np.allclose(state.mean, [0.2])
         assert np.allclose(state.var, [0.9 * 1.0 + 0.1 * 1.0])
@@ -147,7 +148,7 @@ class TestBatchNormBitwise:
             state = RunningStats(m)
             state.mean, state.var = rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
             expected = var_formula_batchnorm(x, gamma, beta, state.mean, state.var)
-            y = batchnorm(x, Param(gamma), Param(beta), state, "train")
+            y = batchnorm(x, Param(gamma), Param(beta), state)
             assert y.tobytes() == expected[0].tobytes()
             assert state.mean.tobytes() == expected[1].tobytes()
             assert state.var.tobytes() == expected[2].tobytes()
@@ -155,38 +156,36 @@ class TestBatchNormBitwise:
     def test_eval_mode_equals_formula(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((9, 5)) * 3.0 + 1.0
-        x_before = x.copy()
         gamma, beta = rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)
         state = RunningStats(5)
         state.mean, state.var = rng.standard_normal(5), rng.uniform(0.5, 2.0, 5)
         xhat = (x - state.mean) * (1.0 / np.sqrt(state.var + 1e-5))
-        g, b = Param(gamma), Param(beta)
-        y = batchnorm(x, g, b, state, "eval")
-        assert y.tobytes() == (gamma * xhat + beta).tobytes()
-        assert x.tobytes() == x_before.tobytes()
-        with pytest.raises(ParameterError, match="eval mode"):
-            batchnorm(x, g, b, state, "eval", GradTape())
+        expected = relu(gamma * xhat + beta)
+        y = eval_norm_relu(x, Param(gamma), Param(beta), state)
+        assert y is x
+        assert y.tobytes() == expected.tobytes()
+
+    def test_eval_norm_relu_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            eval_norm_relu(np.ones((2, 3)), Param(np.ones(2)), Param(np.zeros(2)),
+                           RunningStats(2))
 
 
 class TestDropout:
     def test_p_zero_noop(self):
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        y = dropout(x, 0.0, RngState(0), "train")
+        y = dropout(x, 0.0, RngState(0))
         assert np.array_equal(y, x)
-
-    def test_eval_identity(self):
-        x = np.array([[1.0, -2.0]])
-        assert np.array_equal(dropout(x, 0.1, None, "eval"), x)
 
     def test_bad_probability(self):
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ParameterError):
-                dropout(np.ones((2, 2)), p, RngState(0), "train")
+                dropout(np.ones((2, 2)), p, RngState(0))
 
     def test_keep_rate_monte_carlo(self):
         # 10^5 entries at p=0.5: empirical keep rate within [0.495, 0.505]
         rng = RngState(42)
-        y = dropout(np.ones((500, 200)), 0.5, rng, "train")
+        y = dropout(np.ones((500, 200)), 0.5, rng)
         keep = np.count_nonzero(y) / y.size
         assert 0.495 <= keep <= 0.505
 
@@ -194,22 +193,22 @@ class TestDropout:
         # inverted scaling keeps the per-entry mean within 1% over 1e5 draws
         rng = RngState(7)
         row = np.array([[0.3, -1.2, 2.0, 0.7, -0.4, 1.5]])
-        masked = dropout(np.tile(row, (100000, 1)), 0.1, rng, "train")
+        masked = dropout(np.tile(row, (100000, 1)), 0.1, rng)
         rel = np.abs(masked.mean(axis=0) - row.ravel()) / np.abs(row.ravel())
         assert rel.max() < 0.01
 
     def test_seed_determinism(self):
         x = np.ones((10, 10))
-        a = dropout(x, 0.3, RngState(5), "train")
-        b = dropout(x, 0.3, RngState(5), "train")
+        a = dropout(x, 0.3, RngState(5))
+        b = dropout(x, 0.3, RngState(5))
         assert np.array_equal(a, b)
-        c = dropout(x, 0.3, RngState(6), "train")
+        c = dropout(x, 0.3, RngState(6))
         assert not np.array_equal(a, c)
 
     def test_backward_masks_like_forward(self):
         tape = GradTape()
         x = np.ones((4, 4))
-        y = dropout(x, 0.5, RngState(1), "train", tape)
+        y = dropout(x, 0.5, RngState(1), tape)
         dx = tape.backward(np.ones_like(x))
         assert np.array_equal(dx, y)
 
@@ -329,6 +328,6 @@ class TestPrimitiveGradients:
         x0 = rng.uniform(-1, 1, (8, 4))
 
         def forward(x, tape):
-            return batchnorm(x, gamma, beta, RunningStats(4), "train", tape)
+            return batchnorm(x, gamma, beta, RunningStats(4), tape)
 
         assert self._check(forward, x0) < self.TOL

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fourierdg import FourierDGError, TrainingDivergedError
+from fourierdg import FourierDGError, TrainingDivergedError, fourier
 from fourierdg.data import align_genes, select_hvg, zscore_fit_apply
 from fourierdg.errors import ConfigurationError, ParameterError
 from fourierdg.evaluate import auroc
@@ -127,13 +127,16 @@ class TestTrainConfig:
         [
             dict(lr=0.0), dict(batch_size=1), dict(epochs=0),
             dict(dropout_p=1.0), dict(lambda1=-0.5), dict(grl_coefficient=-1.0),
-            dict(enc_out=7),
+            dict(enc_out=7), dict(enc_out=fourier.MAX_DIM + 2),
         ],
     )
     def test_validation(self, overrides):
         cfg = TrainConfig(**{**TINY, **overrides})
         with pytest.raises(ParameterError):
             cfg.validate()
+
+    def test_enc_out_may_reach_the_basis_cap(self):
+        TrainConfig(**{**TINY, "enc_out": fourier.MAX_DIM}).validate()
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(epochs="3"), "epochs must be int, got '3'"),
