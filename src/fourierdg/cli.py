@@ -18,6 +18,7 @@ from . import evaluate, fourier, synth
 from .data import (
     align_genes,
     binarize_ic50,
+    check_names,
     load_expression,
     load_metadata,
     match_metadata,
@@ -122,6 +123,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
               for flag, field in TRAIN_FLAGS}
     cfg = TrainConfig(seed=args.seed, **fields)
     cfg.validate()
+    if args.hvg < 1:
+        raise ParameterError(f"hvg must be >= 1, got {args.hvg}")
     return cfg
 
 
@@ -134,12 +137,25 @@ def _load_labeled(expr_path: str, meta_path: str):
 
 
 def _effective_hvg(requested: int, gene_count: int) -> int:
-    if requested < 1:
-        raise ParameterError(f"hvg must be >= 1, got {requested}")
     if requested > gene_count:
         print(f"note: hvg clamped to {gene_count} available genes")
         return gene_count
     return requested
+
+
+def _check_domains(metas, roc_dir=None):
+    """Refuse, before the first fold trains, a held-out domain that the
+    report or table could not hold as a cell, or that could not name a
+    ROC file in ``roc_dir``."""
+    domains = evaluate.eligible_domains(metas)
+    check_names("domain", domains)
+    if roc_dir is not None:
+        for domain in domains:
+            if os.sep in domain or (os.altsep and os.altsep in domain):
+                raise ParameterError(
+                    f"domain {domain!r} contains a path separator; "
+                    "it cannot name a ROC file"
+                )
 
 
 @naming_path
@@ -214,6 +230,7 @@ def _cmd_lodo(args) -> int:
     cfg = _train_config(args)
     _print_resolved("lodo", args)
     gm, metas = _load_labeled(args.expr, args.meta)
+    _check_domains(metas, args.out_roc_dir)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     report = evaluate.lodo_run(gm, metas, cfg, hvg=k)
     for e in report.entries:
@@ -237,6 +254,7 @@ def _cmd_ablate(args) -> int:
         raise ParameterError(f"seeds must be comma-separated integers, got {args.seeds!r}")
     _print_resolved("ablate", args)
     gm, metas = _load_labeled(args.expr, args.meta)
+    _check_domains(metas)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     result = evaluate.ablate_faac(gm, metas, cfg, seeds, hvg=k)
     evaluate.write_ablation_csv(args.out_table, result)

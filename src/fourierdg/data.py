@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ParameterError, ParseError, naming_path
+from .errors import ParameterError, ParseError, naming_path
 
 STD_FLOOR = 1e-8
 
@@ -197,7 +197,7 @@ def load_expression(path) -> GeneMatrix:
     return GeneMatrix(sample_ids, gene_names, np.frombuffer(values).reshape(shape))
 
 
-def _check_names(kind: str, names):
+def check_names(kind: str, names):
     """Raise ParameterError for a name that would not read back unchanged
     from a CSV table: one holding a comma, a line break or a tab (a tab in
     the header would make it read as TSV), or padded with whitespace."""
@@ -217,8 +217,8 @@ def _check_names(kind: str, names):
 
 
 def write_expression(path, gm: GeneMatrix):
-    _check_names("sample id", gm.sample_ids)
-    _check_names("gene name", gm.gene_names)
+    check_names("sample id", gm.sample_ids)
+    check_names("gene name", gm.gene_names)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["sample_id"] + gm.gene_names) + "\n")
         for sid, row in zip(gm.sample_ids, gm.values):
@@ -269,8 +269,6 @@ def load_metadata(path) -> list[SampleMeta]:
 
 
 def write_metadata(path, metas: Sequence[SampleMeta]):
-    _check_names("sample id", [m.sample_id for m in metas])
-    _check_names("domain", [m.domain for m in metas])
     rows = ([m.sample_id, m.domain, m.ic50, m.response] for m in metas)
     write_table(path, META_HEADER, rows)
 
@@ -286,8 +284,13 @@ def write_table(path, header: Sequence[str], rows):
 
     A float cell (numpy floats included) is written with ``repr``, so it
     reads back as the same double; ``None`` is an empty cell; any other
-    value is written with ``str``.
+    value is written with ``str``.  Every ``str`` cell is checked by
+    :func:`check_names`, named by its column (``sample_id`` as "sample id"),
+    before the file is opened.
     """
+    rows = list(rows)
+    for name, column in zip(header, zip(*rows)):
+        check_names(name.replace("_", " "), [c for c in column if isinstance(c, str)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -300,7 +303,7 @@ def match_metadata(gm: GeneMatrix, metas: Sequence[SampleMeta]) -> list[SampleMe
     missing = [sid for sid in gm.sample_ids if sid not in by_id]
     if missing:
         shown = ", ".join(missing[:10])
-        raise AlignmentError(f"metadata missing for {len(missing)} samples: {shown}")
+        raise ParameterError(f"metadata missing for {len(missing)} samples: {shown}")
     return [by_id[sid] for sid in gm.sample_ids]
 
 
@@ -347,7 +350,7 @@ def zscore_fit_apply(
         std = np.maximum(gm.values.std(axis=0), STD_FLOOR)
         stats = NormStats(list(gm.gene_names), mean, std)
     elif stats.gene_names != gm.gene_names:
-        raise AlignmentError("normalization stats were fit on different genes")
+        raise ParameterError("normalization stats were fit on different genes")
     values = np.subtract(gm.values, stats.mean)
     values /= stats.std
     return GeneMatrix(list(gm.sample_ids), list(gm.gene_names), values), stats
@@ -359,7 +362,7 @@ def align_genes(gm: GeneMatrix, gene_list: Sequence[str]) -> GeneMatrix:
     missing = [g for g in gene_list if g not in index]
     if missing:
         shown = ", ".join(missing[:10])
-        raise AlignmentError(f"{len(missing)} genes missing from matrix: {shown}")
+        raise ParameterError(f"{len(missing)} genes missing from matrix: {shown}")
     cols = [index[g] for g in gene_list]
     return GeneMatrix(
         list(gm.sample_ids), list(gene_list), np.take(gm.values, cols, axis=1)

@@ -9,52 +9,17 @@ class FourierDGError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionError(FourierDGError):
-    """Matrix shapes do not conform."""
-
-
 class ParameterError(FourierDGError):
-    """An argument is outside its legal range."""
-
-
-class BatchSizeError(FourierDGError):
-    """Batch too small for the requested operation."""
-
-
-class TapeError(FourierDGError):
-    """Gradient tape used more than once."""
-
-
-class EvaluationError(FourierDGError):
-    """A checked function produced a non-finite value."""
-
-
-class LabelError(FourierDGError):
-    """A class or domain label is out of range."""
+    """An argument, or the data it describes, is unusable: out of range,
+    misshapen, mislabelled or inconsistent with the rest."""
 
 
 class ParseError(FourierDGError):
     """Malformed input file."""
 
 
-class AlignmentError(FourierDGError):
-    """Gene lists cannot be reconciled."""
-
-
-class ConfigurationError(FourierDGError):
-    """Training configuration is unusable for the given data."""
-
-
 class TrainingDivergedError(FourierDGError):
     """A training loss term became non-finite."""
-
-
-class MetricError(FourierDGError):
-    """A metric is undefined for the given inputs."""
-
-
-class ReportError(FourierDGError):
-    """An evaluation harness produced no result."""
 
 
 def check_field_types(cfg):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import GeneMatrix, SampleMeta, lodo_split, match_metadata, subset_samples, write_table
-from .errors import ConfigurationError, MetricError, ParameterError, ReportError
+from .errors import ParameterError
 from .model import Checkpoint
 from .train import EpochLog, TrainConfig, predict, train_checkpoint
 
@@ -38,11 +38,11 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
-        raise MetricError("scores and labels must have equal length")
+        raise ParameterError("scores and labels must have equal length")
     if not np.isfinite(scores).all():
-        raise MetricError("scores must be finite")
+        raise ParameterError("scores must be finite")
     if not ((labels == 1).any() and (labels != 1).any()):
-        raise MetricError("AUROC needs both classes present")
+        raise ParameterError("AUROC needs both classes present")
     return scores, (labels == 1)
 
 
@@ -137,7 +137,7 @@ def feature_ic50_r2(features, ic50) -> float:
         raise ParameterError("features rows must match ic50 length")
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
-        raise MetricError("ic50 has zero variance; R^2 undefined")
+        raise ParameterError("ic50 has zero variance; R^2 undefined")
     design = np.column_stack([np.ones(y.size), x])
     gram = design.T @ design + 1e-8 * np.eye(design.shape[1])
     beta = np.linalg.solve(gram, design.T @ y)
@@ -232,14 +232,14 @@ def lodo_run(
     """Hold out each eligible domain in turn; report per-domain ROC."""
     metas = match_metadata(gm, metas)
     if any(m.response is None for m in metas):
-        raise ConfigurationError(
+        raise ParameterError(
             "all responses must be set before LODO; binarize ic50 first"
         )
     if len({m.domain for m in metas}) < 2:
-        raise ConfigurationError("LODO needs at least 2 domains")
+        raise ParameterError("LODO needs at least 2 domains")
     targets = eligible_domains(metas)
     if not targets:
-        raise ReportError(
+        raise ParameterError(
             f"no domain has MIN_TEST_PER_CLASS = {MIN_TEST_PER_CLASS} or more "
             "samples of each class"
         )

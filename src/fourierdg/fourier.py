@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .tensor_core import Array, GradTape
 
 MAX_DIM = 4096  # largest model dimension d: a 134 MB basis
@@ -67,7 +67,7 @@ def build_basis(d: int) -> FourierBasis:
 def project(h: Array, basis: FourierBasis, tape: Optional[GradTape] = None) -> Array:
     """Frequency coefficients z[i][r] = <h_i, b_r>, i.e. z = h @ B.T."""
     if h.ndim != 2 or h.shape[1] != basis.dim:
-        raise DimensionError(
+        raise ParameterError(
             f"project expects {basis.dim} feature columns, got shape {h.shape}"
         )
     z = h @ basis.matrix.T
@@ -79,7 +79,7 @@ def project(h: Array, basis: FourierBasis, tape: Optional[GradTape] = None) -> A
 def reconstruct(z: Array, basis: FourierBasis) -> Array:
     """Invert :func:`project`: h_i = sum_r z[i][r] / ||b_r||^2 * b_r."""
     if z.ndim != 2 or z.shape[1] != basis.dim:
-        raise DimensionError(
+        raise ParameterError(
             f"reconstruct expects {basis.dim} coefficient columns, got shape {z.shape}"
         )
     return (z / basis.norms_sq) @ basis.matrix

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelError, ParameterError
+from .errors import ParameterError
 from .tensor_core import Array
 
 COS_EPS = 1e-12
@@ -82,9 +82,9 @@ def domain_adversarial_loss(logits: Array, domain) -> tuple[float, Array]:
     b, m = logits.shape
     dom = np.asarray(domain, dtype=np.int64)
     if dom.shape != (b,):
-        raise LabelError(f"domain labels must have length {b}")
+        raise ParameterError(f"domain labels must have length {b}")
     if dom.min() < 0 or dom.max() >= m:
-        raise LabelError(f"domain index out of range [0, {m})")
+        raise ParameterError(f"domain index out of range [0, {m})")
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
     denom = exp.sum(axis=1, keepdims=True)

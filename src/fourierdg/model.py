@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fourier
 from .data import NormStats
-from .errors import DimensionError, ParameterError, TapeError, naming_path
+from .errors import ParameterError, naming_path
 from .losses import asymmetric_loss, classification_loss, domain_adversarial_loss
 from .tensor_core import (
     Array,
@@ -223,7 +223,7 @@ def encode(
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(params.gene_list):
-        raise DimensionError(
+        raise ParameterError(
             f"expected {len(params.gene_list)} gene columns, got "
             f"{x.shape[1] if x.ndim == 2 else 'non-matrix input'}"
         )
@@ -303,7 +303,7 @@ def batch_objective(
     def backward():
         nonlocal tapes, dp, dlogits, dz_asy
         if tapes is None:
-            raise TapeError("batch already back-propagated; one backward per forward")
+            raise ParameterError("batch already back-propagated; one backward per forward")
         for t in params.trainables():
             t.zero_grad()
         dz = tapes.classifier.backward(lambda2 * dp[:, None])

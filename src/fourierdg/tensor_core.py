@@ -15,13 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BatchSizeError,
-    DimensionError,
-    EvaluationError,
-    ParameterError,
-    TapeError,
-)
+from .errors import ParameterError
 
 Array = np.ndarray
 
@@ -88,7 +82,7 @@ class GradTape:
         """Propagate ``upstream`` back through the chain; returns dInput."""
         records, self._records = self._records, None
         if records is None:
-            raise TapeError("tape already consumed; one backward per forward")
+            raise ParameterError("tape already consumed; one backward per forward")
         g = upstream
         for fn in reversed(records):
             g = fn(g)
@@ -162,14 +156,14 @@ def affine(
     dX and returns None.
     """
     if x.ndim != 2 or w.value.ndim != 2:
-        raise DimensionError("affine expects 2-D inputs")
+        raise ParameterError("affine expects 2-D inputs")
     if x.shape[1] != w.value.shape[0]:
-        raise DimensionError(
+        raise ParameterError(
             f"affine shape mismatch: x has {x.shape[1]} columns, W has "
             f"{w.value.shape[0]} rows"
         )
     if b.value.shape != (w.value.shape[1],):
-        raise DimensionError(
+        raise ParameterError(
             f"bias must have shape ({w.value.shape[1]},), got {b.value.shape}"
         )
     y = x @ w.value
@@ -213,10 +207,10 @@ def batchnorm(
     batch-norm gradient."""
     m = x.shape[1]
     if gamma.value.shape != (m,) or beta.value.shape != (m,):
-        raise DimensionError("gamma/beta must match the column count")
+        raise ParameterError("gamma/beta must match the column count")
     b = x.shape[0]
     if b < 2:
-        raise BatchSizeError(f"batchnorm needs batch >= 2, got {b}")
+        raise ParameterError(f"batchnorm needs batch >= 2, got {b}")
     # population variance in one centring pass; the same operations as
     # x.var(axis=0), so bitwise equal to it
     mu = x.mean(axis=0)
@@ -244,7 +238,7 @@ def eval_norm_relu(h: Array, gamma: Param, beta: Param, state: RunningStats) -> 
     own buffer; returns ``h`` and records no backward.  The same IEEE
     operations, in order, as normalizing into a new array, then :func:`relu`."""
     if gamma.value.shape != (h.shape[1],) or beta.value.shape != (h.shape[1],):
-        raise DimensionError("gamma/beta must match the column count")
+        raise ParameterError("gamma/beta must match the column count")
     h -= state.mean
     h *= 1.0 / np.sqrt(state.var + BN_EPS)
     h *= gamma.value
@@ -284,9 +278,9 @@ def grad_check(f, x0) -> float:
     value, grad = f(x0)
     grad = np.asarray(grad, dtype=np.float64).ravel()
     if not np.isfinite(value):
-        raise EvaluationError("f(x0) is not finite")
+        raise ParameterError("f(x0) is not finite")
     if grad.shape != x0.shape:
-        raise DimensionError("analytic gradient must match x0 in length")
+        raise ParameterError("analytic gradient must match x0 in length")
     worst = 0.0
     for i in range(x0.size):
         step = np.zeros_like(x0)
@@ -294,7 +288,7 @@ def grad_check(f, x0) -> float:
         fp, _ = f(x0 + step)
         fm, _ = f(x0 - step)
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"f is not finite near coordinate {i}")
+            raise ParameterError(f"f is not finite near coordinate {i}")
         fd = (fp - fm) / (2.0 * FD_STEP)
         a = grad[i]
         err = abs(a - fd) / max(1.0, abs(a), abs(fd))

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import fourier
 from .data import GeneMatrix, SampleMeta, align_genes, select_hvg, write_table, zscore_fit_apply
-from .errors import (
-    ConfigurationError,
-    ParameterError,
-    TrainingDivergedError,
-    check_field_types,
-)
+from .errors import ParameterError, TrainingDivergedError, check_field_types
 from .losses import LossBreakdown, total_loss
 from .model import Checkpoint, GrlConfig, ModelParams, batch_objective, encode, init_params
 from .tensor_core import RngState, affine, sigmoid, zeros_mapped
@@ -176,15 +171,15 @@ def fit(
     if len(metas) != n or any(
         m.sample_id != sid for m, sid in zip(metas, gm.sample_ids)
     ):
-        raise ConfigurationError("metas must be aligned with gm.sample_ids")
+        raise ParameterError("metas must be aligned with gm.sample_ids")
     if any(m.response is None for m in metas):
-        raise ConfigurationError("every training sample needs a response label")
+        raise ParameterError("every training sample needs a response label")
     responses = np.array([m.response for m in metas], dtype=np.int64)
     if len(set(responses.tolist())) < 2:
-        raise ConfigurationError("training data must contain both response classes")
+        raise ParameterError("training data must contain both response classes")
     domain_names = sorted({m.domain for m in metas})
     if len(domain_names) < 2:
-        raise ConfigurationError(
+        raise ParameterError(
             "training data must span at least 2 domains (adversary undefined)"
         )
     dom_index = {d: i for i, d in enumerate(domain_names)}

@@ -58,6 +58,43 @@ class TestValidation:
         assert rc == 1
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, outputs", [
+        ("train", ["--out-checkpoint", "c.json", "--out-log", "l.csv"]),
+        ("lodo", ["--out-report", "r.csv"]),
+        ("ablate", ["--out-table", "t.csv"]),
+    ], ids=["train", "lodo", "ablate"])
+    def test_hvg_zero_before_any_file(self, tmp_path, capsys, command, outputs):
+        rc = run([command, "--expr", str(tmp_path / "nope.csv"),
+                  "--meta", str(tmp_path / "nope_meta.csv"), "--hvg", "0", *outputs])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: hvg must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command, domain, problem", [
+        ("lodo", "D0/x", "contains a path separator; it cannot name a ROC file"),
+        ("lodo", "D0,y", "contains the delimiter ','; it would not read back"),
+        ("ablate", "D0,y", "contains the delimiter ','; it would not read back"),
+    ], ids=["lodo-slash", "lodo-comma", "ablate-comma"])
+    def test_unwritable_domain_before_any_fold(self, dataset, tmp_path, capsys,
+                                               monkeypatch, command, domain, problem):
+        expr, meta = dataset
+        rows = [line.split(",") for line in meta.read_text().splitlines()]
+        for row in rows[1:]:
+            row[1] = domain if row[1] == "D0" else row[1]
+        tsv = tmp_path / "meta.tsv"
+        tsv.write_text("".join("\t".join(row) + "\n" for row in rows))
+
+        def fail(*_):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr("fourierdg.train.fit", fail)
+        out = tmp_path / "out.csv"
+        outputs = {"lodo": ["--out-report", str(out), "--out-roc-dir", str(tmp_path / "rocs")],
+                   "ablate": ["--out-table", str(out)]}[command]
+        rc = run([command, "--expr", str(expr), "--meta", str(tsv), *FAST_TRAIN, *outputs])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: domain {domain!r} {problem}\n"
+        assert not out.exists()
+
     def test_malformed_flag_value(self, capsys):
         rc = run(["train", "--expr", "e", "--meta", "m", "--lr", "abc",
                   "--out-checkpoint", "c", "--out-log", "l"])

@@ -18,9 +18,20 @@ from fourierdg.data import (
     subset_samples,
     write_expression,
     write_metadata,
+    write_table,
     zscore_fit_apply,
 )
-from fourierdg.errors import AlignmentError, ParameterError, ParseError
+from fourierdg.errors import ParameterError, ParseError
+from fourierdg.evaluate import (
+    AblationResult,
+    AblationRow,
+    DomainResult,
+    LodoReport,
+    RocResult,
+    write_ablation_csv,
+    write_embedding_csv,
+    write_report_csv,
+)
 
 
 def write(tmp_path, name, text):
@@ -361,6 +372,29 @@ class TestWriterNames:
         assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "name,problem", [c[1:] for c in UNREADABLE_NAMES],
+        ids=[c[0] for c in UNREADABLE_NAMES],
+    )
+    @pytest.mark.parametrize("table", ["report", "ablation", "embedding", "scores"])
+    def test_table_writers(self, tmp_path, table, name, problem):
+        roc = RocResult(0.5, [(0.0, 0.0), (1.0, 1.0)])
+        field, write_to = {
+            "report": ("domain", lambda path: write_report_csv(
+                path, LodoReport([DomainResult(name, 6, 3, 3, roc)], 0.5))),
+            "ablation": ("domain", lambda path: write_ablation_csv(
+                path, AblationResult([AblationRow(1, True, name, 0.5)], 0.5, 0.5, 0.0, {}))),
+            "embedding": ("sample id", lambda path: write_embedding_csv(
+                path, [name], [[0.0, 1.0]], [1])),
+            "scores": ("sample id", lambda path: write_table(
+                path, ["sample_id", "score"], [(name, 0.5)])),
+        }[table]
+        path = tmp_path / "t.csv"
+        with pytest.raises(ParameterError) as err:
+            write_to(path)
+        assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
+        assert not path.exists()
+
     def test_accepted_names_read_back(self, tmp_path):
         names = ["c d", "a;b", 'q"t', "caf\u00e9", "a|b"]
         gm = GeneMatrix(names, names[::-1], np.eye(len(names)))
@@ -505,7 +539,7 @@ class TestMatchMetadata:
 
     def test_missing_sample(self):
         gm = GeneMatrix(["a", "b"], ["g"], np.zeros((2, 1)))
-        with pytest.raises(AlignmentError, match="b"):
+        with pytest.raises(ParameterError, match="b"):
             match_metadata(gm, [SampleMeta("a", "x", response=0)])
 
 
@@ -633,7 +667,8 @@ class TestZscore:
         gm = GeneMatrix(["a", "b"], ["g"], np.array([[1.0], [3.0]]))
         _, stats = zscore_fit_apply(gm)
         other = GeneMatrix(["c"], ["h"], np.array([[5.0]]))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ParameterError,
+                           match="normalization stats were fit on different genes"):
             zscore_fit_apply(other, stats)
 
     def test_round_trip_recovers_values(self):
@@ -661,7 +696,7 @@ class TestAlignGenes:
         assert np.array_equal(out.values, [[3.0, 2.0, 1.0]])
 
     def test_missing_named(self):
-        with pytest.raises(AlignmentError, match="gX"):
+        with pytest.raises(ParameterError, match="gX"):
             align_genes(self._gm(), ["g1", "gX"])
 
 

@@ -1,4 +1,5 @@
-"""The package imports nothing but the standard library and numpy."""
+"""The package imports nothing but the standard library and numpy, reads
+no environment variable, and raises only the documented error kinds."""
 
 import ast
 import sys
@@ -134,4 +135,53 @@ def test_guard_flags_an_environment_read():
     )
     assert environment_reads(tree) == [
         "line 2: os.environ", "line 3: from os import getenv", "line 6: os.getenv",
+    ]
+
+
+# The three outcomes the CLI reports (README "Exit codes") and their base.
+ERROR_KINDS = [
+    "errors.FourierDGError", "errors.ParameterError", "errors.ParseError",
+    "errors.TrainingDivergedError",
+]
+
+
+def error_classes(trees: dict) -> list[str]:
+    """``module.Class`` for every class the ``errors`` module defines and
+    every class of any module that derives from one of them, directly or
+    through another such class."""
+    kinds = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
+    found = {f"errors.{name}" for name in kinds}
+    grew = True
+    while grew:
+        grew = False
+        for module, tree in trees.items():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef) or f"{module}.{node.name}" in found:
+                    continue
+                bases = {getattr(b, "attr", getattr(b, "id", None)) for b in node.bases}
+                if bases & kinds:
+                    found.add(f"{module}.{node.name}")
+                    kinds.add(node.name)
+                    grew = True
+    return sorted(found)
+
+
+def test_error_kinds_are_the_documented_three_and_their_base():
+    trees = {p.stem: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert error_classes(trees) == ERROR_KINDS
+
+
+def test_guard_flags_an_extra_error_kind():
+    trees = {
+        "errors": ast.parse(
+            "class FourierDGError(Exception): pass\n"
+            "class ParameterError(FourierDGError): pass\n"
+        ),
+        "a": ast.parse(
+            "from . import errors\nclass ShapeError(errors.ParameterError): pass\n"
+            "class RankError(ShapeError): pass\nclass Usage(ValueError): pass\n"
+        ),
+    }
+    assert error_classes(trees) == [
+        "a.RankError", "a.ShapeError", "errors.FourierDGError", "errors.ParameterError",
     ]

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fourierdg.errors import MetricError, ParameterError, ReportError
+from fourierdg.errors import ParameterError
 from fourierdg.evaluate import (
     MIN_TEST_PER_CLASS,
     _midranks,
@@ -129,7 +129,7 @@ class TestAuroc:
         assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
     def test_single_class_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(ParameterError, match="AUROC needs both classes present"):
             auroc([0.1, 0.2], [1, 1])
 
     def test_brute_force_equivalence(self):
@@ -198,7 +198,7 @@ class TestRocPoints:
     @pytest.mark.parametrize("metric", [auroc, roc_points])
     def test_non_finite_scores_rejected(self, metric, bad):
         # a NaN once ranked lowest in auroc and highest in roc_points
-        with pytest.raises(MetricError, match="finite"):
+        with pytest.raises(ParameterError, match="scores must be finite"):
             metric([bad, 0.2, 0.8, 0.1], [0, 1, 1, 0])
 
     def test_endpoints_and_monotonicity(self):
@@ -289,7 +289,7 @@ class TestFeatureIc50R2:
         assert 0.8 < r2 <= 1.0
 
     def test_zero_variance_target(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(ParameterError, match=r"ic50 has zero variance; R\^2 undefined"):
             feature_ic50_r2(np.random.default_rng(12).standard_normal((10, 2)),
                             np.ones(10))
 
@@ -329,7 +329,7 @@ class TestLodoRun:
             raise AssertionError("fit called")
 
         monkeypatch.setattr("fourierdg.train.fit", fail)
-        with pytest.raises(ReportError, match="MIN_TEST_PER_CLASS = 3"):
+        with pytest.raises(ParameterError, match="MIN_TEST_PER_CLASS = 3"):
             lodo_run(gm, short, TrainConfig(**TINY))
 
     def test_small_domain_dropped_but_others_kept(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fourierdg.errors import DimensionError, ParameterError
+from fourierdg.errors import ParameterError
 from fourierdg.fourier import build_basis, project, reconstruct
 from fourierdg.tensor_core import GradTape, grad_check
 
@@ -82,7 +82,8 @@ class TestProject:
         assert np.array_equal(project(2.0 * h, basis), 2.0 * project(h, basis))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError,
+                           match=r"project expects 4 feature columns, got shape \(2, 6\)"):
             project(np.ones((2, 6)), build_basis(4))
 
     def test_gradient(self):
@@ -117,7 +118,8 @@ class TestReconstruct:
         assert np.array_equal(reconstruct(np.zeros((2, 4)), basis), np.zeros((2, 4)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError,
+                           match=r"reconstruct expects 4 coefficient columns, got shape \(1, 3\)"):
             reconstruct(np.ones((1, 3)), build_basis(4))
 
     @pytest.mark.parametrize("d", DIMS)

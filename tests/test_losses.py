@@ -4,7 +4,7 @@ training objectives."""
 import numpy as np
 import pytest
 
-from fourierdg.errors import LabelError, ParameterError
+from fourierdg.errors import ParameterError
 from fourierdg.losses import (
     asymmetric_loss,
     attention_diagnostic,
@@ -131,9 +131,9 @@ class TestDomainAdversarialLoss:
         assert loss < 1e-4
 
     def test_invalid_domain_index(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(ParameterError, match=r"domain index out of range \[0, 3\)"):
             domain_adversarial_loss(np.zeros((2, 3)), [0, 3])
-        with pytest.raises(LabelError):
+        with pytest.raises(ParameterError, match=r"domain index out of range \[0, 3\)"):
             domain_adversarial_loss(np.zeros((2, 3)), [-1, 0])
 
     def test_single_class_logits_rejected(self):

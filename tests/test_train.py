@@ -9,7 +9,7 @@ import pytest
 
 from fourierdg import FourierDGError, TrainingDivergedError, fourier
 from fourierdg.data import align_genes, select_hvg, zscore_fit_apply
-from fourierdg.errors import ConfigurationError, ParameterError
+from fourierdg.errors import ParameterError
 from fourierdg.evaluate import auroc
 from fourierdg.model import GrlConfig, batch_objective, encode, init_params, save_checkpoint
 from fourierdg.synth import SynthConfig, generate
@@ -283,12 +283,12 @@ class TestFit:
         from fourierdg.data import subset_samples
 
         idx = [i for i, m in enumerate(metas) if m.domain == "D0"]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError, match="training data must span at least 2 domains"):
             fit(subset_samples(gm, idx), solo, TrainConfig(**TINY))
 
     def test_misaligned_metas_rejected(self):
         gm, metas = tiny_data()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError, match="metas must be aligned with gm.sample_ids"):
             fit(gm, list(reversed(metas)), TrainConfig(**TINY))
 
 
@@ -387,10 +387,9 @@ class TestConvergenceOnDefaultBenchmark:
     def test_predict_unalignable_genes(self, converged):
         _, _, ckpt, _ = converged
         from fourierdg.data import GeneMatrix
-        from fourierdg.errors import AlignmentError
 
         wrong = GeneMatrix(["x"], ["not_a_gene"], np.zeros((1, 1)))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ParameterError, match="genes missing from matrix"):
             predict(wrong, ckpt)
 
 
