@@ -285,6 +285,8 @@ def ablate_faac(
     (``lambda1 = 0``) for each seed and compare mean held-out AUROC."""
     if len(seeds) < 2:
         raise ParameterError("ablation needs at least 2 seeds")
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"ablation seeds must be distinct, got {list(seeds)}")
     rows: list[AblationRow] = []
     for seed in seeds:
         for faac_on in (True, False):

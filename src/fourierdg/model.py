@@ -11,7 +11,6 @@ back into the encoder.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -331,26 +330,6 @@ class Checkpoint:
     domains: list[str]
 
 
-def _decode_array(stored, version: int) -> Array:
-    """An array of a format-1 (nested lists) or format-2 (base64) document.
-
-    A format-2 array is a read-only view of the decoded bytes; callers copy
-    it into place.
-    """
-    if version == 1:
-        return np.asarray(stored, dtype=np.float64)
-    try:
-        shape = tuple(int(n) for n in stored["shape"])
-        raw = base64.b64decode(stored["b64"], validate=True)
-    except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
-        raise ParameterError(f"malformed checkpoint array: {e!r}") from None
-    if any(n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
-        raise ParameterError(
-            f"checkpoint array of shape {list(shape)} holds {len(raw)} bytes"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
-
-
 def _stored_arrays(ckpt: Checkpoint) -> dict[str, Array]:
     """The arrays a checkpoint stores, by key, in file order: the
     trainables, each batch norm's running statistics, then the
@@ -382,33 +361,31 @@ def _distinct_names(value) -> bool:
             and len(set(value)) == len(value))
 
 
-def _checked_fields(doc: dict):
-    """Check a checkpoint document's fields, and each stored or listed
-    array shape against the shape its named widths imply, before anything
-    the size of the model is allocated.
+def _checked_fields(header: dict, body_bytes: int):
+    """Check a checkpoint header's fields, each listed array shape against
+    the shape its named widths imply, and the ``body_bytes`` that follow
+    the header against the arrays it lists, before anything the size of
+    the model is allocated.
 
-    Returns the shape of each array by key in file order, the decoded
-    arrays of a format-1 or format-2 document (none for a format-3 header),
-    the GRL set-up and the training config.
+    Returns the shape of each array by key in file order, the GRL set-up
+    and the training config.
     """
-    if not isinstance(doc, dict):
+    if not isinstance(header, dict):
         raise ParameterError("checkpoint must be a JSON object")
-    version = doc.get("format_version")
-    if version not in (1, 2, CHECKPOINT_FORMAT_VERSION):
+    version = header.get("format_version")
+    # exact JSON types, here and below: true and 3.0 are not 3, a bool is
+    # not a number, nor a numeric string
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise ParameterError(f"unsupported checkpoint format_version {version!r}")
     try:
-        if version == CHECKPOINT_FORMAT_VERSION:
-            listed = doc["arrays"]
-            stored = dict(listed)
-        else:
-            raw = {**doc["params"], "norm_mean": doc["norm_mean"],
-                   "norm_std": doc["norm_std"]}
-            stored = {key: _decode_array(raw[key], version).shape
-                      for key in ("b1", "disc_b1")}
-        m_domains, d, domains = doc["M"], doc["d"], doc["domains"]
-        gene_list, train_config = doc["gene_list"], doc["train_config"]
-        coefficient = doc["grl"]["coefficient"]
-        # exact JSON types: a bool is not a number, nor a numeric string
+        listed = header["arrays"]
+        stored = dict(listed)
+        for key, shape in stored.items():
+            if any(type(n) is not int for n in shape):
+                raise ParameterError(f"checkpoint array {key!r} shape must list integers")
+        m_domains, d, domains = header["M"], header["d"], header["domains"]
+        gene_list, train_config = header["gene_list"], header["train_config"]
+        coefficient = header["grl"]["coefficient"]
         for key, value, types, what in (
                 ("M", m_domains, (int,), "an integer"), ("d", d, (int,), "an integer"),
                 ("grl.coefficient", coefficient, (int, float), "a number"),
@@ -427,51 +404,46 @@ def _checked_fields(doc: dict):
             len(gene_list), m_domains, math.prod(stored["b1"]), d,
             math.prod(stored["disc_b1"]),
         ))
-        if version == CHECKPOINT_FORMAT_VERSION:
-            if [key for key, _ in listed] != list(shapes):
-                raise ParameterError(
-                    f"checkpoint header must list the arrays {list(shapes)} in order"
-                )
-            arrays = {}
-        else:
-            arrays = {key: _decode_array(raw[key], version) for key in shapes}
-            stored = {key: a.shape for key, a in arrays.items()}
+        if [key for key, _ in listed] != list(shapes):
+            raise ParameterError(
+                f"checkpoint header must list the arrays {list(shapes)} in order"
+            )
         for key, shape in shapes.items():
             if list(stored[key]) != list(shape):
                 raise ParameterError(f"checkpoint array {key!r} has shape "
                                      f"{list(stored[key])}, expected {list(shape)}")
-        return shapes, arrays, GrlConfig(float(coefficient)), dict(train_config)
+        want = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if body_bytes != want:
+            raise ParameterError(
+                f"checkpoint body holds {body_bytes} bytes, its header lists {want}"
+            )
+        return shapes, GrlConfig(float(coefficient)), dict(train_config)
     except KeyError as e:
         raise ParameterError(f"checkpoint is missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ParameterError(f"malformed checkpoint: {e}") from None
 
 
-def checkpoint_from_dict(doc: dict) -> Checkpoint:
-    """Check a checkpoint's fields and rebuild it.
+def checkpoint_from_dict(header: dict, body_bytes: int) -> Checkpoint:
+    """Check a checkpoint's header against the ``body_bytes`` that follow
+    it and build the model it describes.
 
-    ``doc`` is a whole format-1 (nested lists) or format-2 (base64)
-    document, or a format-3 header, whose listed shapes must be those of
-    the widths it names.  The arrays of a format-3 checkpoint are left as
-    a new model holds them, for ``load_checkpoint`` to read from the body.
+    The arrays are left as a new model holds them, for ``load_checkpoint``
+    to read from the body.
     """
-    shapes, arrays, grl, train_config = _checked_fields(doc)
+    shapes, grl, train_config = _checked_fields(header, body_bytes)
     params = ModelParams(
-        doc["gene_list"], doc["M"], hidden=shapes["b1"][0], d=doc["d"],
+        header["gene_list"], header["M"], hidden=shapes["b1"][0], d=header["d"],
         disc_hidden=shapes["disc_b1"][0],
     )
     n_genes = len(params.gene_list)
-    ckpt = Checkpoint(
+    return Checkpoint(
         params=params,
         stats=NormStats(list(params.gene_list), np.zeros(n_genes), np.zeros(n_genes)),
         grl=grl,
         train_config=train_config,
-        domains=list(doc["domains"]),
+        domains=list(header["domains"]),
     )
-    targets = _stored_arrays(ckpt)
-    for key, value in arrays.items():
-        targets[key][...] = value
-    return ckpt
 
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
@@ -512,48 +484,27 @@ def save_checkpoint(path, ckpt: Checkpoint):
         raise
 
 
-def _parse_json(data: bytes):
-    try:
-        return json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParameterError(f"checkpoint is not valid JSON: {e}") from None
-    except UnicodeDecodeError as e:
-        raise ParameterError(
-            "checkpoint is not UTF-8 text: cannot decode byte "
-            f"0x{e.object[e.start]:02x}"
-        ) from None
-
-
 @naming_path
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; its ParameterError messages start with
     the path.
 
-    A first line that is a JSON object of a format other than 1 and 2 is
-    a header; the rest of the file must hold exactly the bytes of the
-    arrays it lists, which is checked, with the header, before the model is
-    built, and they are read straight into the model.  Any other file is
-    one JSON document of format 1 or 2.
+    The first line is the JSON header; the rest of the file must hold
+    exactly the bytes of the arrays it lists.  Both are checked before the
+    model is built, and the bytes are read straight into the model.
     """
     with open(path, "rb") as fh:
-        first = fh.readline()
+        line = fh.readline()
         try:
-            header = _parse_json(first)
-        except ParameterError:
-            header = None
-        if not isinstance(header, dict) or header.get("format_version") in (1, 2):
-            rest = fh.read()
-            return checkpoint_from_dict(
-                _parse_json(first + rest) if rest or header is None else header
-            )
-        shapes = _checked_fields(header)[0]
-        held = os.fstat(fh.fileno()).st_size - fh.tell()
-        want = 8 * sum(math.prod(shape) for shape in shapes.values())
-        if held != want:
+            header = json.loads(line.decode("utf-8"))
+        except json.JSONDecodeError as e:
+            raise ParameterError(f"checkpoint is not valid JSON: {e}") from None
+        except UnicodeDecodeError as e:
             raise ParameterError(
-                f"checkpoint body holds {held} bytes, its header lists {want}"
-            )
-        ckpt = checkpoint_from_dict(header)
+                "checkpoint is not UTF-8 text: cannot decode byte "
+                f"0x{e.object[e.start]:02x}"
+            ) from None
+        ckpt = checkpoint_from_dict(header, os.fstat(fh.fileno()).st_size - fh.tell())
         for a in _stored_arrays(ckpt).values():
             if fh.readinto(a) != a.nbytes:
                 raise ParameterError("checkpoint body ended while it was read")

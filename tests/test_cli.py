@@ -140,7 +140,7 @@ class TestValidation:
     def test_non_utf8_checkpoint_is_validation_error(self, dataset, tmp_path, capsys):
         expr, _ = dataset
         ckpt = tmp_path / "latin1.json"
-        ckpt.write_bytes(b'{"format_version": 2, "gene_list": ["caf\xe9"]}')
+        ckpt.write_bytes(b'{"format_version": 3, "gene_list": ["caf\xe9"]}')
         rc = run(["predict", "--expr", str(expr), "--checkpoint", str(ckpt),
                   "--out-scores", str(tmp_path / "s.csv")])
         assert rc == 1
@@ -150,9 +150,10 @@ class TestValidation:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("text, expected", [
-        ('{"format_version": 2,', "checkpoint is not valid JSON: Expecting "),
-        ('{"format_version": 2}', "checkpoint is missing field 'params'\n"),
-    ], ids=["invalid-json", "missing-field"])
+        ('{"format_version": 3,', "checkpoint is not valid JSON: Expecting "),
+        ('{"format_version": 3}', "checkpoint is missing field 'arrays'\n"),
+        ('{"format_version": 2, "params": {}}', "unsupported checkpoint format_version 2\n"),
+    ], ids=["invalid-json", "missing-field", "format-2"])
     def test_bad_checkpoint_names_the_file(self, dataset, tmp_path, capsys,
                                            text, expected):
         expr, _ = dataset
@@ -205,6 +206,20 @@ class TestValidation:
         ])
         assert rc == 1
         assert "seeds" in capsys.readouterr().err
+
+    def test_repeated_seed_before_any_fold(self, dataset, tmp_path, capsys, monkeypatch):
+        expr, meta = dataset
+
+        def fail(*_):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr("fourierdg.train.fit", fail)
+        table = tmp_path / "t.csv"
+        rc = run(["ablate", "--expr", str(expr), "--meta", str(meta), *FAST_TRAIN,
+                  "--seeds", "1,2,1", "--out-table", str(table)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ablation seeds must be distinct, got [1, 2, 1]\n"
+        assert not table.exists()
 
 
 class TestTrainFlags:

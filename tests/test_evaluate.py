@@ -411,6 +411,18 @@ class TestAblateFaac:
         with pytest.raises(ParameterError):
             ablate_faac(gm, metas, TrainConfig(**TINY), seeds=[1])
 
+    def test_refuses_a_repeated_seed(self, tiny_benchmark, monkeypatch):
+        # a repeat would train byte-identical runs and count them twice
+        gm, metas = tiny_benchmark
+
+        def fail(*_):
+            raise AssertionError("lodo_run called")
+
+        monkeypatch.setattr("fourierdg.evaluate.lodo_run", fail)
+        with pytest.raises(ParameterError,
+                           match=r"^ablation seeds must be distinct, got \[1, 1\]$"):
+            ablate_faac(gm, metas, TrainConfig(**TINY), seeds=[1, 1])
+
 
 class TestCsvWriters:
     def test_roc_csv(self, tmp_path):
