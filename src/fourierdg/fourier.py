@@ -35,17 +35,25 @@ class FourierBasis:
         self.norms_sq.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
-def build_basis(d: int) -> FourierBasis:
+def build_basis(d: int, dtype=np.float64) -> FourierBasis:
     """Construct the basis for an even dimension d >= 2.
 
     Angles are reduced modulo the period in exact integer arithmetic
     before calling cos/sin, so orthogonality holds to ~machine precision
     even at large d.  The basis is immutable, so one instance per
-    dimension is cached and shared by every model of that width.
+    dimension and dtype is cached and shared by every model of that width
+    and dtype.  A float32 basis is the cached float64 one, rounded.
     """
+    return _cached_basis(d, np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_basis(d: int, dtype: np.dtype) -> FourierBasis:
     if d < 2 or d % 2 != 0:
         raise ParameterError(f"basis dimension must be even and >= 2, got {d}")
+    if dtype != np.float64:
+        basis = _cached_basis(d, np.dtype(np.float64))
+        return FourierBasis(d, basis.matrix.astype(dtype), basis.norms_sq.astype(dtype))
     j = np.arange(d, dtype=np.int64)
     rows = [np.ones(d, dtype=np.float64)]
     for k in range(1, d // 2):

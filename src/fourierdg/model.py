@@ -70,11 +70,13 @@ class ForwardTapes:
 class ModelParams:
     """Weights, biases, and batch-norm state for the whole network.
 
-    Every trainable lives in one flat float64 arena: ``values`` and
-    ``grads`` hold the parameters back to back in ``trainables()`` order,
-    and each ``Param.value`` / ``Param.grad`` is a reshaped view into them.
-    So the optimizer, ``copy`` and the gradient audit each walk two buffers
-    instead of 14 arrays.  Write parameters in place; rebinding a
+    Every trainable lives in one flat arena of ``dtype`` (float64 unless
+    asked for float32, which ``fit`` trains in): ``values`` and ``grads``
+    hold the parameters back to back in ``trainables()`` order, and each
+    ``Param.value`` / ``Param.grad`` is a reshaped view into them.  So the
+    optimizer, ``copy`` and the gradient audit each walk two buffers
+    instead of 14 arrays.  The batch-norm statistics and the basis have
+    the same dtype.  Write parameters in place; rebinding a
     ``Param.value`` detaches it from the arena.
     """
 
@@ -107,8 +109,12 @@ class ModelParams:
         hidden: int,
         d: int,
         disc_hidden: int,
+        dtype=np.float64,
     ):
         """Zero-filled arena; ``init_params`` or a checkpoint fills it."""
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ParameterError(f"dtype must be float32 or float64, got {self.dtype}")
         self.gene_list = list(gene_list)
         self.m_domains = int(m_domains)
         self.hidden, self.d, self.disc_hidden = int(hidden), int(d), int(disc_hidden)
@@ -117,8 +123,8 @@ class ModelParams:
         )
         shapes = [tuple(widths[w] for w in dims) for _, dims, _ in self.TRAINABLES]
         total = sum(math.prod(shape) for shape in shapes)
-        self.values = zeros_mapped(total)
-        self.grads = zeros_mapped(total)
+        self.values = zeros_mapped(total, self.dtype)
+        self.grads = zeros_mapped(total, self.dtype)
         self._trainables = []
         for (slot, _, init), value, grad in zip(
             self.TRAINABLES, flat_views(self.values, shapes), flat_views(self.grads, shapes)
@@ -129,8 +135,8 @@ class ModelParams:
             setattr(self, slot, param)
             self._trainables.append(param)
         for slot, width in self.STATS:
-            setattr(self, slot, RunningStats(widths[width]))
-        self.basis = fourier.build_basis(self.d)
+            setattr(self, slot, RunningStats(widths[width], self.dtype))
+        self.basis = fourier.build_basis(self.d, self.dtype)
 
     def encoder_trainables(self) -> list[Param]:
         return self._trainables[: self.N_ENCODER]
@@ -138,27 +144,20 @@ class ModelParams:
     def trainables(self) -> list[Param]:
         return list(self._trainables)
 
-    def release_grads(self):
-        """Swap ``grads`` for a fresh zero arena and rebind every ``Param.grad``.
-
-        The written pages of the old arena go back to the system once
-        nothing else references it; the new map costs no memory until it is
-        written.  (``madvise(MADV_DONTNEED)`` would not do: the map is
-        shared, and shared pages are not freed by it.)
-        """
-        shapes = [t.grad.shape for t in self._trainables]
-        self.grads = zeros_mapped(self.grads.size)
-        for param, grad in zip(self._trainables, flat_views(self.grads, shapes)):
-            param.grad = grad
-
-    def copy(self) -> "ModelParams":
+    def astype(self, dtype) -> "ModelParams":
+        """A new model of ``dtype`` holding this one's values and batch-norm
+        statistics, cast; its gradient arena is untouched zeros."""
         out = ModelParams(
-            self.gene_list, self.m_domains, self.hidden, self.d, self.disc_hidden
+            self.gene_list, self.m_domains, self.hidden, self.d, self.disc_hidden, dtype
         )
         out.values[...] = self.values
-        out.grads[...] = self.grads
         for slot, _ in self.STATS:
-            setattr(out, slot, getattr(self, slot).copy())
+            setattr(out, slot, getattr(self, slot).astype(out.dtype))
+        return out
+
+    def copy(self) -> "ModelParams":
+        out = self.astype(self.dtype)
+        out.grads[...] = self.grads
         return out
 
 
@@ -186,8 +185,10 @@ def init_params(
     hidden: int,
     d: int,
     disc_hidden: int,
+    dtype=np.float64,
 ) -> ModelParams:
-    """Glorot-uniform weights, zero biases, identity batch-norm state."""
+    """Glorot-uniform weights, zero biases, identity batch-norm state; the
+    weights are drawn in float64 and rounded to ``dtype``."""
     if isinstance(genes, int):
         gene_list = [f"g{i}" for i in range(genes)]
     else:
@@ -196,7 +197,7 @@ def init_params(
         raise ParameterError("need at least one gene")
     if m_domains < 2:
         raise ParameterError(f"need at least 2 domains, got {m_domains}")
-    params = ModelParams(gene_list, m_domains, hidden, d, disc_hidden)
+    params = ModelParams(gene_list, m_domains, hidden, d, disc_hidden, dtype)
     for (_, _, init), param in zip(params.TRAINABLES, params.trainables()):
         if init == "glorot":
             fan_in, fan_out = param.value.shape
@@ -220,7 +221,7 @@ def encode(
     each affine returned, and skips dropout, the identity there."""
     if mode not in ("train", "eval"):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 2 or x.shape[1] != len(params.gene_list):
         raise ParameterError(
             f"expected {len(params.gene_list)} gene columns, got "
@@ -266,7 +267,7 @@ def forward_full(
 
     disc_tape = tapes.discriminator
     if grl is not None:
-        coeff = grl.coefficient
+        coeff = float(grl.coefficient)  # a numpy scalar would upcast float32
         disc_tape.record(lambda dy: -coeff * dy)
     a = relu(affine(z, params.disc_w1, params.disc_b1, disc_tape), disc_tape)
     logits = affine(a, params.disc_w2, params.disc_b2, disc_tape)
@@ -290,14 +291,20 @@ def batch_objective(
     l_adv + lambda1 * l_asy + lambda2 * l_cls, with the encoder's share of
     l_adv passed through the reversal layer of ``grl`` (``None``: not
     reversed).  The head gradients are merged at z.  ``lambda1 == 0``
-    skips the clustering loss, and l_asy is then 0.0.  Like a tape,
-    ``backward`` runs once and then drops the batch's tapes and gradients.
+    skips the clustering loss, and l_asy is then 0.0.  The losses compute
+    in float64; their gradients are cast to the model's dtype.  Like a
+    tape, ``backward`` runs once and then drops the batch's tapes and
+    gradients.
     """
     tapes = ForwardTapes()
     z, p, logits = forward_full(x, params, grl, tapes, rng, dropout_p)
     l_cls, dp = classification_loss(p, response)
     l_adv, dlogits = domain_adversarial_loss(logits, domain)
     l_asy, dz_asy = asymmetric_loss(z, response)[:2] if lambda1 != 0.0 else (0.0, None)
+    dp, dlogits = (g.astype(params.dtype, copy=False) for g in (dp, dlogits))
+    if dz_asy is not None:
+        dz_asy = dz_asy.astype(params.dtype, copy=False)
+    lambda1, lambda2 = float(lambda1), float(lambda2)  # numpy scalars would upcast
 
     def backward():
         nonlocal tapes, dp, dlogits, dz_asy

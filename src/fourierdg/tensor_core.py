@@ -1,10 +1,12 @@
 """Dense-matrix primitives with hand-written analytic backward passes.
 
-Matrices are 2-D C-contiguous float64 numpy arrays throughout.  Every
-primitive optionally records itself on a :class:`GradTape`; replaying the
-tape propagates an upstream gradient back through the chain in exact
-reverse order of the forward calls, accumulating parameter gradients into
-:class:`Param` objects along the way.
+Matrices are 2-D C-contiguous numpy arrays of one float dtype: float32
+while ``fit`` trains, float64 everywhere else; every primitive keeps its
+input's dtype.  Every primitive optionally records itself on a
+:class:`GradTape`; replaying the tape propagates an upstream gradient back
+through the chain in exact reverse order of the forward calls,
+accumulating parameter gradients into :class:`Param` objects along the
+way.
 """
 
 from __future__ import annotations
@@ -27,31 +29,36 @@ FD_STEP = 1e-5  # central-difference step of grad_check
 class Param:
     """A trainable array with an accumulated gradient.
 
-    ``value`` is C-contiguous float64.  ``grad`` defaults to zeros; a model
-    passes views into its flat storage for both (see ``ModelParams``).
+    ``value`` is C-contiguous float32 or float64; any other input is
+    converted to float64.  ``grad`` defaults to zeros; a model passes views
+    into its flat storage for both (see ``ModelParams``).
     """
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value, grad: Optional[Array] = None):
-        self.value = np.asarray(value, dtype=np.float64, order="C")
+        value = np.asarray(value, order="C")
+        if value.dtype != np.float32:
+            value = np.asarray(value, dtype=np.float64, order="C")
+        self.value = value
         self.grad = np.zeros_like(self.value) if grad is None else grad
 
     def zero_grad(self):
         self.grad[...] = 0.0
 
 
-def zeros_mapped(n: int) -> Array:
-    """``n`` float64 zeros in an anonymous memory map of their own.
+def zeros_mapped(n: int, dtype=np.float64) -> Array:
+    """``n`` zeros of ``dtype`` in an anonymous memory map of their own.
 
     For long-lived multi-MB buffers (parameter arenas, Adam moments).
     Freeing one as a malloc block would raise glibc's dynamic mmap
     threshold to its size, after which medium arrays stay on the heap and
     fragment it; a map of its own is returned to the system whole.
     """
+    dtype = np.dtype(dtype)
     if n == 0:
-        return np.zeros(0)
-    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+        return np.zeros(0, dtype)
+    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * n), dtype=dtype)
 
 
 def flat_views(flat: Array, shapes) -> list[Array]:
@@ -131,14 +138,15 @@ class RunningStats:
 
     __slots__ = ("mean", "var")
 
-    def __init__(self, dim: int):
-        self.mean = np.zeros(dim, dtype=np.float64)
-        self.var = np.ones(dim, dtype=np.float64)
+    def __init__(self, dim: int, dtype=np.float64):
+        self.mean = np.zeros(dim, dtype=dtype)
+        self.var = np.ones(dim, dtype=dtype)
 
-    def copy(self) -> "RunningStats":
-        out = RunningStats(self.mean.shape[0])
-        out.mean = self.mean.copy()
-        out.var = self.var.copy()
+    def astype(self, dtype) -> "RunningStats":
+        """A copy with both statistics cast to ``dtype``."""
+        out = RunningStats(0)
+        out.mean = self.mean.astype(dtype)
+        out.var = self.var.astype(dtype)
         return out
 
 
@@ -250,7 +258,8 @@ def dropout(
     x: Array, p: float, rng: Optional[RngState], tape: Optional[GradTape] = None
 ) -> Array:
     """Inverted dropout of a training batch: zero entries with probability
-    p, scale by 1/(1-p).  The eval forward does not call it."""
+    p, scale by 1/(1-p).  The mask has ``x``'s dtype; one float64 uniform
+    draw decides it at either dtype.  The eval forward does not call it."""
     if not (0.0 <= p < 1.0):
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
@@ -260,7 +269,7 @@ def dropout(
     if rng is None:
         raise ParameterError("dropout with p > 0 requires an RngState")
     scale = 1.0 / (1.0 - p)
-    mask = (rng.random(x.shape) >= p) * scale
+    mask = np.multiply(rng.random(x.shape) >= p, scale, dtype=x.dtype)
     y = x * mask
     if tape is not None:
         tape.record(lambda dy: dy * mask)

@@ -75,9 +75,10 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Standard Adam (b1=ADAM_B1, b2=ADAM_B2, eps=ADAM_EPS); one step per batch.
 
-    ``values`` and ``grads`` are two flat float64 buffers of equal length,
-    a model's parameter arena (``ModelParams.values`` / ``grads``); ``m``
-    and ``v`` are two more.  ``step`` mutates them in place, one block of
+    ``values`` and ``grads`` are two flat buffers of equal length and one
+    float dtype, a model's parameter arena (``ModelParams.values`` /
+    ``grads``); ``m`` and ``v`` are two more of that dtype, and every
+    operation runs in it.  ``step`` mutates them in place, one block of
     ADAM_BLOCK elements at a time, through two scratch rows, so a small
     model costs one pass of 14 ufunc calls.  Each element goes through the
     same IEEE operations, in the same order, as
@@ -96,11 +97,17 @@ class Adam:
                 f"Adam needs two 1-D buffers of equal length, got shapes "
                 f"{values.shape} and {grads.shape}"
             )
+        if grads.dtype != values.dtype:
+            raise ParameterError(
+                f"Adam needs values and grads of one dtype, got {values.dtype} "
+                f"and {grads.dtype}"
+            )
         self.values, self.grads = values, grads
-        self.lr = lr
+        self.lr = float(lr)  # a numpy scalar would run float32 steps in float64
         self.t = 0
-        self.m, self.v = zeros_mapped(values.size), zeros_mapped(values.size)
-        self._scratch = np.empty((2, min(ADAM_BLOCK, values.size)))
+        self.m = zeros_mapped(values.size, values.dtype)
+        self.v = zeros_mapped(values.size, values.dtype)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, values.size)), values.dtype)
 
     def step(self):
         self.t += 1
@@ -145,11 +152,14 @@ def make_batches(n: int, batch_size: int, rng: RngState) -> list[np.ndarray]:
 
 
 def _score(values: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Eval-mode sensitivity probabilities, clamped to the open interval."""
+    """Eval-mode sensitivity probabilities, clamped to the open interval.
+
+    The logit is cast to float64 first: in float32, 1 - SCORE_EPS rounds
+    to 1.0."""
     h = encode(values, params, "eval")
     z = fourier.project(h, params.basis)
-    p = sigmoid(affine(z, params.clf_w, params.clf_b)).ravel()
-    return np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
+    logit = affine(z, params.clf_w, params.clf_b).astype(np.float64, copy=False)
+    return np.clip(sigmoid(logit).ravel(), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
 def fit(
@@ -159,10 +169,12 @@ def fit(
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Train on a standardized matrix; metas must be row-aligned with gm.
 
-    Returns the trained parameters, whose gradient arena is all zeros,
-    and one EpochLog per epoch (loss means over batches plus train AUROC).
-    ``cfg.lambda1 == 0`` trains without the clustering loss: the paper's
-    ablation.
+    Training runs in float32: the matrix is cast once, and the model,
+    its gradients and Adam's moments are float32.  Returns the trained
+    parameters as a float64 model holding exactly the trained values, with
+    a gradient arena of untouched zeros, and one EpochLog per epoch (loss
+    means over batches plus train AUROC).  ``cfg.lambda1 == 0`` trains
+    without the clustering loss: the paper's ablation.
     """
     from .evaluate import auroc  # local import; evaluate builds on fit
 
@@ -189,10 +201,17 @@ def fit(
     params = init_params(
         gm.gene_names, len(domain_names), rng,
         hidden=cfg.enc_hidden, d=cfg.enc_out, disc_hidden=cfg.disc_hidden,
+        dtype=np.float32,
     )
+    largest = max(gm.values.max(), -gm.values.min())
+    if largest > np.finfo(np.float32).max:
+        raise ParameterError(
+            f"fit expects standardized input, but the largest |value| is "
+            f"{largest:.6g}, beyond float32's range"
+        )
+    x_all = gm.values.astype(np.float32)
     optim = Adam(params.values, params.grads, cfg.lr)
     grl = GrlConfig(cfg.grl_coefficient)
-    x_all = gm.values
 
     logs: list[EpochLog] = []
     # A diverging run overflows before the loss check below names the batch;
@@ -223,10 +242,10 @@ def fit(
                     f"training diverged at epoch {epoch}: non-finite training scores"
                 )
             logs.append(EpochLog(epoch, breakdown, auroc(scores, responses)))
-    # the last batch's gradient is of no use to a trained model; its pages,
-    # like Adam's moments, are freed when this frame ends
-    params.release_grads()
-    return params, logs
+    # Adam's moments go before the float64 arena is written, so the cast
+    # does not raise the peak; float32 to float64 is exact
+    del optim
+    return params.astype(np.float64), logs
 
 
 def train_checkpoint(

@@ -28,7 +28,9 @@ from fourierdg.train import TrainConfig
 # Frozen fixture for the synthetic leave-one-domain-out criterion.  The
 # thresholds below were calibrated by running this exact configuration:
 # mean AUROC with the clustering constraint on was 0.962, without it
-# 0.956, and the gap was positive for every seed and every domain.
+# 0.956, and the gap was positive for every seed and every domain.  Since
+# fit trains in float32 the run reads 0.9620 and 0.9553 (delta +0.0067),
+# still positive for every seed and every domain.
 LODO_SEEDS = [1, 2, 3, 4, 5]
 LODO_CFG = TrainConfig(
     lr=1e-3, batch_size=64, epochs=30, seed=1,

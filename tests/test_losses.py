@@ -159,6 +159,12 @@ class TestDomainAdversarialLoss:
 
 
 class TestClassificationLoss:
+    def test_float32_certainty_is_finite(self):
+        # 1 - PROB_EPS is 1.0 in float32; the clamp works in float64
+        loss, grad = classification_loss(np.ones(2, np.float32), [0, 1])
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        assert grad.dtype == np.float64
+
     def test_max_entropy(self):
         loss, _ = classification_loss([0.5, 0.5], [1, 0])
         assert loss == pytest.approx(np.log(2), abs=1e-12)

@@ -222,6 +222,60 @@ class TestGradientSuite:
         assert elapsed < 10.0
 
 
+class TestFloat32Model:
+    """The float32 model ``fit`` trains, against the float64 model of the
+    gradient audit: ``gradient_suite``'s reduced model, batch and weights."""
+
+    Y = np.array([1, 1, 1, 0, 0, 0])
+    DOM = np.array([0, 1, 2, 0, 1, 2])
+
+    @staticmethod
+    def twins():
+        """Equal float32 and float64 models and a batch, all representable
+        in float32."""
+        rng = RngState(0)
+        p64 = init_params(12, 3, rng, hidden=10, d=8, disc_hidden=6)
+        p64.values[...] = p64.values.astype(np.float32)
+        x = rng.normal((6, 12)).astype(np.float32)
+        return p64.astype(np.float32), p64, x
+
+    def test_gradients_agree_with_float64(self):
+        p32, p64, x = self.twins()
+        assert p32.grads.dtype == np.float32 and p64.grads.dtype == np.float64
+        for params in (p32, p64):
+            _, backward = batch_objective(
+                x, self.Y, self.DOM, params, GrlConfig(0.9), 0.7, 1.3)
+            backward()
+        g32, g64 = p32.grads.astype(np.float64), p64.grads
+        assert g64.any()
+        rel = np.abs(g32 - g64) / np.maximum(1.0, np.maximum(np.abs(g32), np.abs(g64)))
+        assert rel.max() <= 1e-4, rel.max()
+
+    def test_forward_and_backward_stay_float32(self, monkeypatch):
+        # a float64 value anywhere would silently run the matmuls in float64
+        seen = []
+        tape_backward = model.GradTape.backward
+
+        def spy(tape, upstream):
+            out = tape_backward(tape, upstream)
+            seen.append((upstream.dtype, None if out is None else out.dtype))
+            return out
+
+        monkeypatch.setattr(model.GradTape, "backward", spy)
+        p32, _, x = self.twins()
+        z, p, logits = forward_full(x, p32, GrlConfig(0.9), ForwardTapes(), RngState(1), 0.5)
+        assert z.dtype == p.dtype == logits.dtype == np.float32
+        # numpy scalars, which a TrainConfig accepts, must not promote either
+        grl, lambda1, lambda2 = GrlConfig(np.float64(0.9)), np.float64(0.7), np.float64(1.3)
+        _, backward = batch_objective(x, self.Y, self.DOM, p32, grl, lambda1, lambda2,
+                                      RngState(1), 0.5)
+        backward()
+        # classifier, discriminator, then encoder, whose first affine
+        # returns no input gradient
+        f32 = np.dtype(np.float32)
+        assert seen == [(f32, f32), (f32, f32), (f32, None)]
+
+
 def objective_terms(params, x, y, dom):
     """(l_asy, l_adv, l_cls) of a train-mode forward without dropout."""
     z, p, logits = forward_full(x, params, None, ForwardTapes())

@@ -16,8 +16,10 @@ from fourierdg.synth import SynthConfig, generate
 from fourierdg.tensor_core import RngState
 from fourierdg.train import (
     ADAM_BLOCK,
+    SCORE_EPS,
     Adam,
     TrainConfig,
+    _score,
     fit,
     make_batches,
     predict,
@@ -71,15 +73,19 @@ def textbook_adam(value, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 class TestAdam:
-    def test_bitwise_equal_to_textbook_update(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_bitwise_equal_to_textbook_update(self, dtype):
         # > two blocks with a ragged tail, a 37x29 weight, a 1-element bias
         sizes = [2 * ADAM_BLOCK + 123, 37 * 29, 1]
         bounds = np.cumsum([0, *sizes])
         slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         rng = np.random.default_rng(0)
-        values, grads = rng.standard_normal(bounds[-1]), np.zeros(bounds[-1])
-        ref = [(values[s].copy(), np.zeros(n), np.zeros(n)) for s, n in zip(slices, sizes)]
-        optim = Adam(values, grads, lr=1e-3)
+        values = rng.standard_normal(bounds[-1]).astype(dtype)
+        grads = np.zeros(bounds[-1], dtype)
+        ref = [(values[s].copy(), np.zeros(n, dtype), np.zeros(n, dtype))
+               for s, n in zip(slices, sizes)]
+        optim = Adam(values, grads, lr=np.float64(1e-3))  # a numpy scalar, as a config may hold
+        assert optim.m.dtype == optim.v.dtype == dtype
         for t in range(1, 6):
             for i, s in enumerate(slices):
                 grads[s] = rng.standard_normal(sizes[i]) * 10.0 ** (i - t)
@@ -87,9 +93,14 @@ class TestAdam:
             optim.step()
             for i, s in enumerate(slices):
                 value, m, v = ref[i]
+                assert value.dtype == dtype
                 assert np.array_equal(values[s], value)
                 assert np.array_equal(optim.m[s], m)
                 assert np.array_equal(optim.v[s], v)
+
+    def test_rejects_buffers_of_two_dtypes(self):
+        with pytest.raises(ParameterError, match="one dtype, got float32 and float64"):
+            Adam(np.zeros(3, np.float32), np.zeros(3), lr=0.1)
 
     def test_empty_parameter_list(self):
         optim = Adam(np.zeros(0), np.zeros(0), lr=0.1)
@@ -205,6 +216,7 @@ class TestFit:
         init = init_params(
             gm.gene_names, 3, RngState(cfg.seed),
             hidden=cfg.enc_hidden, d=cfg.enc_out, disc_hidden=cfg.disc_hidden,
+            dtype=np.float32,
         )
         # classifier head receives zero gradient: Adam leaves it at init
         assert np.array_equal(params.clf_w.value, init.clf_w.value)
@@ -277,6 +289,22 @@ class TestFit:
         Adam(params.values, params.grads, cfg.lr).step()
         assert not np.array_equal(params.values, before)
 
+    def test_returns_float64_holding_float32_values(self):
+        gm, metas = tiny_data()
+        params, _ = fit(gm, metas, TrainConfig(**TINY))
+        assert params.dtype == np.float64
+        for a in (params.values, params.bn1_stats.mean, params.bn2_stats.var):
+            assert a.dtype == np.float64
+            assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+
+    def test_value_beyond_float32_is_parameter_error(self):
+        gm, metas = tiny_data()
+        gm.values[3, 5] = -4e38
+        with pytest.raises(ParameterError, match=(
+                r"fit expects standardized input, but the largest \|value\| is "
+                r"4e\+38, beyond float32's range")):
+            fit(gm, metas, TrainConfig(**TINY))
+
     def test_single_domain_rejected(self):
         gm, metas = tiny_data()
         solo = [m for m in metas if m.domain == "D0"]
@@ -309,16 +337,26 @@ class TestTrainCheckpoint:
         assert ckpt.domains == ["D0", "D1", "D2"]
 
 
+def test_float32_scores_stay_inside_the_open_interval():
+    # a logit near 60 saturates the sigmoid; 1 - SCORE_EPS is 1.0 in float32
+    gm, _ = tiny_data()
+    params = init_params(gm.gene_names, 3, RngState(0), hidden=8, d=4, disc_hidden=4,
+                         dtype=np.float32)
+    params.clf_b.value[...] = 60.0
+    scores = _score(gm.values.astype(np.float32), params)
+    assert scores.dtype == np.float64
+    assert ((scores > 0.0) & (scores < 1.0)).all()
+    assert scores.max() == 1.0 - SCORE_EPS
+
+
 @pytest.mark.parametrize("genes, hidden, d, per_domain, encode_sha, predict_sha", [
-    # genes != hidden
     (30, 20, 12, 10,
-     "9b69c82f4707f8f07dee6fd9ef2cd2c016d581f11e549a91f3cb04683e308e81",
-     "e91fdaaabf0c147455078e403848107c4905763a95d9a37f2349bcaf8fd1e7b2"),
-    # 21 cohort rows
+     "dd324ecaf5347c1525ef9c79f3046975473dca34fed6a3e71cb000504e46abe1",
+     "b4b67fb22bcc68ddc9d4d2cd4ee152a797cf1865c692dd181fecef9aa0ffbd60"),
     (16, 16, 16, 7,
-     "6df98cadd7970b8650e8de040890d6c21660d01c7df9c479207bba1e27955086",
-     "bbb5dbc1c99bea8f144d30a88a678d2e8a3a210e6293e7e37f0b5fc497602b17"),
-])
+     "34f92cfb348c24b4aa4b9378e0ced4beddfc4da61c95b249e11547451189ab4d",
+     "b5806a33f1f03f59af8e0894cd5351a8cb2ba234957f0e54a4d7380750b335e1"),
+], ids=["genes-ne-hidden", "21-cohort-rows"])
 def test_eval_bits_pinned(genes, hidden, d, per_domain, encode_sha, predict_sha):
     """The eval-mode encoder output and the ``predict`` scores of a trained
     model, bit for bit."""
