@@ -25,8 +25,6 @@ from .errors import FourierDGError, TrainingDivergedError
 from .evaluate import (
     ablate_faac,
     auroc,
-    embed_2d,
-    feature_ic50_r2,
     lodo_run,
     roc_points,
 )
@@ -35,6 +33,7 @@ from .losses import (
     LossBreakdown,
     asymmetric_loss,
     attention_diagnostic,
+    class_cosines,
     classification_loss,
     domain_adversarial_loss,
     total_loss,
@@ -62,11 +61,11 @@ __all__ = [
     "load_expression", "load_metadata", "lodo_split", "select_hvg",
     "write_expression", "write_metadata", "zscore_fit_apply",
     "FourierDGError", "TrainingDivergedError",
-    "ablate_faac", "auroc", "embed_2d", "feature_ic50_r2", "lodo_run",
-    "roc_points",
+    "ablate_faac", "auroc", "lodo_run", "roc_points",
     "FourierBasis", "build_basis", "project", "reconstruct",
     "LossBreakdown", "asymmetric_loss", "attention_diagnostic",
-    "classification_loss", "domain_adversarial_loss", "total_loss",
+    "class_cosines", "classification_loss", "domain_adversarial_loss",
+    "total_loss",
     "Checkpoint", "GrlConfig", "ModelParams", "checkpoint_to_json", "encode",
     "forward_full", "gradient_suite", "init_params", "load_checkpoint",
     "save_checkpoint",

@@ -28,6 +28,7 @@ from .data import (
     zscore_fit_apply,
 )
 from .errors import FourierDGError, ParameterError, TrainingDivergedError, naming_path
+from .losses import class_cosines
 from .model import encode, gradient_suite, load_checkpoint, save_checkpoint
 from .train import TrainConfig, predict, train_checkpoint, write_log_csv
 
@@ -90,8 +91,6 @@ def build_parser() -> _Parser:
     _add_train_flags(p)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-log", required=True)
-    p.add_argument("--out-embedding", default=None,
-                   help="optional CSV of 2-D projected training features")
 
     p = sub.add_parser("predict", help="score samples with a checkpoint")
     p.add_argument("--expr", required=True)
@@ -205,13 +204,14 @@ def _cmd_train(args) -> int:
         )
     save_checkpoint(args.out_checkpoint, ckpt)
     write_log_csv(args.out_log, logs)
-    if args.out_embedding is not None:
-        params = ckpt.params
-        gm, _ = zscore_fit_apply(align_genes(gm, params.gene_list), ckpt.stats)
-        z = fourier.project(encode(gm.values, params, "eval"), params.basis)
-        coords = evaluate.embed_2d(z)
-        labels = [m.response for m in metas]
-        evaluate.write_embedding_csv(args.out_embedding, gm.sample_ids, coords, labels)
+    params = ckpt.params
+    gm, _ = zscore_fit_apply(align_genes(gm, params.gene_list), ckpt.stats)
+    z = fourier.project(encode(gm.values, params, "eval"), params.basis)
+    cos_pos, cos_cross, cos_neg = class_cosines(z, [m.response for m in metas])
+    print(
+        f"class cosines (training rows, eval mode): sensitive={cos_pos:.4f} "
+        f"sensitive_resistant={cos_cross:.4f} resistant={cos_neg:.4f}"
+    )
     print(f"checkpoint -> {args.out_checkpoint}")
     return 0
 

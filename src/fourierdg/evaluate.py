@@ -104,47 +104,6 @@ def roc_points(scores, labels) -> RocResult:
     return RocResult(auroc=auroc(scores, labels), points=points)
 
 
-def top2_components(features) -> tuple[np.ndarray, np.ndarray]:
-    """Leading two principal directions of the sample covariance.
-
-    Eigenvectors of the two largest eigenvalues (``np.linalg.eigh``); signs
-    are fixed so the largest-magnitude loading is positive.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
-        raise ParameterError("need at least 3 samples and 2 features")
-    xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / x.shape[0]
-    _, vecs = np.linalg.eigh(cov)  # eigenvalues ascending
-    v1, v2 = vecs[:, -1], vecs[:, -2]
-    return tuple(-v if v[np.argmax(np.abs(v))] < 0 else v for v in (v1, v2))
-
-
-def embed_2d(features) -> np.ndarray:
-    """Mean-centered projection onto the top-2 principal components."""
-    x = np.asarray(features, dtype=np.float64)
-    v1, v2 = top2_components(x)
-    xc = x - x.mean(axis=0)
-    return np.column_stack([xc @ v1, xc @ v2])
-
-
-def feature_ic50_r2(features, ic50) -> float:
-    """In-sample R^2 of a ridge-stabilized linear fit (intercept included,
-    ridge 1e-8 applied unconditionally)."""
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(ic50, dtype=np.float64).ravel()
-    if x.ndim != 2 or x.shape[0] != y.size:
-        raise ParameterError("features rows must match ic50 length")
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        raise ParameterError("ic50 has zero variance; R^2 undefined")
-    design = np.column_stack([np.ones(y.size), x])
-    gram = design.T @ design + 1e-8 * np.eye(design.shape[1])
-    beta = np.linalg.solve(gram, design.T @ y)
-    resid = y - design @ beta
-    return 1.0 - float((resid @ resid)) / ss_tot
-
-
 # ---------------------------------------------------------------------------
 # Leave-one-domain-out harness
 # ---------------------------------------------------------------------------
@@ -326,8 +285,3 @@ def write_ablation_csv(path, result: AblationResult):
     rows = ([r.seed, int(r.faac_on), r.domain, r.auroc] for r in result.rows)
     write_table(path, ["seed", "faac", "domain", "auroc"], rows)
 
-
-def write_embedding_csv(path, sample_ids, coords, labels):
-    coords = np.asarray(coords, dtype=np.float64)
-    rows = ([sid, x, y, lab] for sid, (x, y), lab in zip(sample_ids, coords, labels))
-    write_table(path, ["sample_id", "x", "y", "label"], rows)

@@ -28,6 +28,25 @@ class LossBreakdown:
     total: float
 
 
+def _class_sums(z: Array, response):
+    """Class sums of the unit rows zh_i = z_i / max(||z_i||, COS_EPS).
+
+    Returns (z, inv, q, sensitive, sums): ``z`` as float64, ``inv`` the
+    divisors' reciprocals, ``q`` each ||zh_i||^2 (1, less for a row shorter
+    than COS_EPS), ``sensitive`` the rows whose response is 1, and ``sums``
+    (2 x d) the sum of the sensitive unit rows, then of the resistant ones.
+    The unit rows themselves are never formed.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[0] < 1:
+        raise ParameterError("need at least one sample")
+    sensitive = np.asarray(response) == 1
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    inv = 1.0 / np.maximum(norms, COS_EPS)
+    sums = (np.stack([sensitive, ~sensitive]) * inv) @ z
+    return z, inv, (norms * inv) ** 2, sensitive, sums
+
+
 def asymmetric_loss(z: Array, response) -> tuple[float, Array, bool]:
     """Asymmetric cosine clustering loss over a batch of frequency features.
 
@@ -38,37 +57,54 @@ def asymmetric_loss(z: Array, response) -> tuple[float, Array, bool]:
     negative set contribute 0 for the missing part; a batch with no usable
     pair returns 0 with the degenerate flag set.
 
+    With s+ and s- the class sums of the unit rows zh_i, the loss is
+    w_pp (s+.s+ - sum_sensitive ||zh_i||^2) + w_pn s+.s-, so no b x b
+    cosine matrix is formed.
+
     Returns (loss, dLoss/dZ, degenerate).
     """
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(response)
-    b = z.shape[0]
-    if b < 1:
-        raise ParameterError("asymmetric_loss needs at least one sample")
-    pos = np.flatnonzero(y == 1)
-    neg = np.flatnonzero(y != 1)
-    n_pos, n_neg = pos.size, neg.size
+    z, inv, q, sensitive, sums = _class_sums(z, response)
+    n_pos = int(np.count_nonzero(sensitive))
+    n_neg = sensitive.size - n_pos
     if n_pos == 0 or (n_pos == 1 and n_neg == 0):
         return 0.0, np.zeros_like(z), True
 
-    norms = np.maximum(np.linalg.norm(z, axis=1), COS_EPS)
-    zh = z / norms[:, None]
-    cos = zh @ zh.T
-
-    weights = np.zeros((b, b))
-    if n_pos > 1:
-        w_pp = -1.0 / (n_pos * (n_pos - 1))
-        weights[np.ix_(pos, pos)] = w_pp
-        weights[pos, pos] = 0.0
-    if n_neg > 0:
-        weights[np.ix_(pos, neg)] = 1.0 / (n_pos * n_neg)
-
-    loss = float(np.sum(weights * cos))
-    # d cos(i,j)/d z_i = (zh_j - cos_ij * zh_i) / ||z_i||; symmetrize the
-    # anchor/other roles through S = W + W^T.
-    sym = weights + weights.T
-    grad = (sym @ zh - (sym * cos).sum(axis=1)[:, None] * zh) / norms[:, None]
+    w_pp = -1.0 / (n_pos * (n_pos - 1)) if n_pos > 1 else 0.0
+    w_pn = 1.0 / (n_pos * n_neg) if n_neg > 0 else 0.0
+    s_pos, s_neg = sums
+    loss = float(w_pp * (s_pos @ s_pos - q[sensitive].sum()) + w_pn * (s_pos @ s_neg))
+    # d cos(i,j)/d z_i = (zh_j - cos_ij zh_i) * inv_i, so row i's gradient
+    # is (g_i - (g_i.zh_i) zh_i) * inv_i with g_i = c_i @ sums - 2 w_pp zh_i
+    # for a sensitive row (c_i = [2 w_pp, w_pn]) and c_i @ sums for a
+    # resistant one (c_i = [w_pn, 0]); zh_i = inv_i z_i is folded in
+    coupling = np.where(sensitive[:, None], [2.0 * w_pp, w_pn], [w_pn, 0.0])
+    along = inv * np.einsum("ij,ij->i", coupling, z @ sums.T)
+    along += 2.0 * w_pp * sensitive * (1.0 - q)
+    grad = (coupling * inv[:, None]) @ sums
+    grad -= (along * inv * inv)[:, None] * z
     return loss, grad, False
+
+
+def class_cosines(z: Array, response) -> tuple[float, float, float]:
+    """Mean cosine over sensitive pairs, over sensitive-resistant pairs and
+    over resistant pairs of the rows of ``z``.
+
+    A mean with no pair to average is NaN.  Where the first two are
+    defined, :func:`asymmetric_loss` of the same rows is -first + second.
+    """
+    _, _, q, sensitive, sums = _class_sums(z, response)
+    n_pos = int(np.count_nonzero(sensitive))
+    n_neg = sensitive.size - n_pos
+    dots = sums @ sums.T
+
+    def mean(total, pairs):
+        return float(total) / pairs if pairs else float("nan")
+
+    return (
+        mean(dots[0, 0] - q[sensitive].sum(), n_pos * (n_pos - 1)),
+        mean(dots[0, 1], n_pos * n_neg),
+        mean(dots[1, 1] - q[~sensitive].sum(), n_neg * (n_neg - 1)),
+    )
 
 
 def domain_adversarial_loss(logits: Array, domain) -> tuple[float, Array]:

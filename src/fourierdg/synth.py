@@ -4,7 +4,9 @@ Every sensitive sample carries one shared signature direction while each
 resistant sample picks one of several mechanism directions, on top of a
 per-domain shift and isotropic noise.  This realizes the working
 hypothesis behind the asymmetric clustering loss: one compact sensitive
-mode, many scattered resistant modes, confounded by domain structure.
+mode, many scattered resistant modes.  Domain and label are not
+confounded: every domain has the same sensitive fraction, and its shift
+does not depend on the label.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ def generate(cfg: SynthConfig) -> tuple[GeneMatrix, list[SampleMeta]]:
 
     Per domain, exactly round(sensitive_fraction * per_domain) sensitive
     samples come first, then the resistant ones.  The emitted ic50 is a
-    noisy monotone correlate of the label (sensitive low, resistant high)
-    so label re-derivation and regression analyses have something to work
-    with.  Each domain's rows are written with whole-array operations into
+    noisy monotone correlate of the label (sensitive low, resistant high),
+    so labels can be re-derived from it.  Each domain's rows are written with whole-array operations into
     one preallocated matrix.
     """
     cfg.validate()

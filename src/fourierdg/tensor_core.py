@@ -196,11 +196,9 @@ def relu(x: Array, tape: Optional[GradTape] = None) -> Array:
 
 def sigmoid(x: Array, tape: Optional[GradTape] = None) -> Array:
     """Numerically stable logistic function."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; min(x, -x) keeps a NaN's sign bit
+    e = np.exp(np.minimum(x, -x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if tape is not None:
         tape.record(lambda dy: dy * y * (1.0 - y))
     return y

@@ -6,6 +6,10 @@ from dataclasses import fields
 import pytest
 
 from fourierdg.cli import TRAIN_FLAGS, _train_config, build_parser, run
+from fourierdg.data import align_genes, load_expression, load_metadata, zscore_fit_apply
+from fourierdg.fourier import project
+from fourierdg.losses import class_cosines
+from fourierdg.model import encode, load_checkpoint
 from fourierdg.train import TrainConfig
 
 FAST_TRAIN = [
@@ -57,6 +61,13 @@ class TestValidation:
         ])
         assert rc == 1
         assert "epochs" in capsys.readouterr().err
+
+    def test_out_embedding_is_unknown(self, dataset, tmp_path, capsys):
+        expr, meta = dataset
+        rc = run(train_args(expr, meta, tmp_path, "emb", extra=["--out-embedding", "x.csv"]))
+        assert rc == 1
+        assert "unrecognized arguments: --out-embedding" in capsys.readouterr().err
+        assert not (tmp_path / "ck_emb.json").exists()
 
     @pytest.mark.parametrize("command, outputs", [
         ("train", ["--out-checkpoint", "c.json", "--out-log", "l.csv"]),
@@ -246,7 +257,7 @@ TRAINING_OPTIONS = {
 OPTION_CENSUS = {
     "synth": {"--config", "--seed", "--out-expr", "--out-meta"},
     "train": {"--expr", "--meta", *TRAINING_OPTIONS,
-              "--out-checkpoint", "--out-log", "--out-embedding"},
+              "--out-checkpoint", "--out-log"},
     "predict": {"--expr", "--checkpoint", "--out-scores"},
     "lodo": {"--expr", "--meta", *TRAINING_OPTIONS, "--out-report", "--out-roc-dir"},
     "ablate": {"--expr", "--meta", *TRAINING_OPTIONS, "--seeds", "--out-table"},
@@ -339,15 +350,21 @@ class TestRoundTrip:
                     "--out-scores", str(scores)]) == 0
         assert len(scores.read_text().splitlines()) == 601
 
-    def test_embedding_export(self, dataset, tmp_path):
+    def test_class_cosines_printed_once(self, dataset, tmp_path, capsys):
+        # the geometry of the training rows' features in eval mode
         expr, meta = dataset
-        emb = tmp_path / "emb.csv"
-        rc = run(train_args(expr, meta, tmp_path, "emb",
-                            extra=["--out-embedding", str(emb)]))
-        assert rc == 0
-        lines = emb.read_text().splitlines()
-        assert lines[0] == "sample_id,x,y,label"
-        assert len(lines) == 91
+        assert run(train_args(expr, meta, tmp_path, "geo")) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("class cosines")]
+        ckpt = load_checkpoint(tmp_path / "ck_geo.json")
+        gm, _ = zscore_fit_apply(align_genes(load_expression(expr), ckpt.params.gene_list),
+                                 ckpt.stats)
+        z = project(encode(gm.values, ckpt.params, "eval"), ckpt.params.basis)
+        pos, cross, neg = class_cosines(z, [m.response for m in load_metadata(meta)])
+        assert printed == [
+            f"class cosines (training rows, eval mode): sensitive={pos:.4f} "
+            f"sensitive_resistant={cross:.4f} resistant={neg:.4f}"
+        ]
 
 
 class TestLodoAndAblate:

@@ -29,7 +29,6 @@ from fourierdg.evaluate import (
     LodoReport,
     RocResult,
     write_ablation_csv,
-    write_embedding_csv,
     write_report_csv,
 )
 
@@ -376,7 +375,7 @@ class TestWriterNames:
         "name,problem", [c[1:] for c in UNREADABLE_NAMES],
         ids=[c[0] for c in UNREADABLE_NAMES],
     )
-    @pytest.mark.parametrize("table", ["report", "ablation", "embedding", "scores"])
+    @pytest.mark.parametrize("table", ["report", "ablation", "scores"])
     def test_table_writers(self, tmp_path, table, name, problem):
         roc = RocResult(0.5, [(0.0, 0.0), (1.0, 1.0)])
         field, write_to = {
@@ -384,8 +383,6 @@ class TestWriterNames:
                 path, LodoReport([DomainResult(name, 6, 3, 3, roc)], 0.5))),
             "ablation": ("domain", lambda path: write_ablation_csv(
                 path, AblationResult([AblationRow(1, True, name, 0.5)], 0.5, 0.5, 0.0, {}))),
-            "embedding": ("sample id", lambda path: write_embedding_csv(
-                path, [name], [[0.0, 1.0]], [1])),
             "scores": ("sample id", lambda path: write_table(
                 path, ["sample_id", "score"], [(name, 0.5)])),
         }[table]

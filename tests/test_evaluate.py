@@ -15,12 +15,9 @@ from fourierdg.evaluate import (
     ablate_faac,
     auroc,
     eligible_domains,
-    embed_2d,
-    feature_ic50_r2,
     lodo_run,
     roc_points,
     run_fold,
-    top2_components,
     write_ablation_csv,
     write_report_csv,
     write_roc_csv,
@@ -213,85 +210,6 @@ class TestRocPoints:
         tpr = [p[1] for p in roc.points]
         assert all(a <= b for a, b in zip(fpr, fpr[1:]))
         assert all(a <= b for a, b in zip(tpr, tpr[1:]))
-
-
-class TestEmbed2d:
-    def test_rank_one_data(self):
-        rng = np.random.default_rng(5)
-        direction = rng.standard_normal(5)
-        coords = embed_2d(np.outer(rng.standard_normal(40), direction))
-        assert coords.shape == (40, 2)
-        assert coords[:, 1].var() <= 1e-9
-
-    def test_component_ordering(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((100, 6)) * np.array([5.0, 2.0, 1, 1, 1, 1])
-        coords = embed_2d(x)
-        assert coords[:, 0].var() >= coords[:, 1].var()
-
-    def test_component_orthogonality(self):
-        rng = np.random.default_rng(7)
-        v1, v2 = top2_components(rng.standard_normal((50, 8)))
-        assert abs(float(v1 @ v2)) <= 1e-8
-
-    @pytest.mark.parametrize("x", [
-        # second and third variances nearly equal: slow for power iteration
-        np.random.default_rng(0).standard_normal((200, 6)) * [5, 3, 2.99, 1, 1, 1],
-        np.random.default_rng(0).standard_normal((42, 35)),
-    ], ids=["close-gap", "square-ish"])
-    def test_components_are_exact_eigenvectors(self, x):
-        xc = x - x.mean(axis=0)
-        cov = xc.T @ xc / x.shape[0]
-        top = np.linalg.eigvalsh(cov)[::-1][:2]
-        tol = 1e-12 * top[0]
-        v1, v2 = top2_components(x)
-        for v, lam in zip((v1, v2), top):
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-            rayleigh = v @ cov @ v
-            assert np.linalg.norm(cov @ v - rayleigh * v) <= tol
-            assert abs(rayleigh - lam) <= tol
-            assert v[np.argmax(np.abs(v))] > 0
-        assert abs(v1 @ v2) <= 1e-12
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((30, 4))
-        assert np.array_equal(embed_2d(x), embed_2d(x))
-
-    def test_too_few_samples(self):
-        with pytest.raises(ParameterError):
-            embed_2d(np.zeros((2, 3)))
-
-    def test_one_feature_rejected(self):
-        with pytest.raises(ParameterError, match="2 features"):
-            top2_components(np.arange(5.0)[:, None])
-
-
-class TestFeatureIc50R2:
-    def test_exact_linear_fit(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((50, 3))
-        y = 2.5 * x[:, 1] - 1.0
-        assert feature_ic50_r2(x, y) >= 1.0 - 1e-9
-
-    def test_independent_features_near_zero(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((500, 5))
-        y = rng.standard_normal(500)
-        assert feature_ic50_r2(x, y) < 0.2
-
-    def test_duplicated_columns_regularized(self):
-        rng = np.random.default_rng(11)
-        col = rng.standard_normal(30)
-        x = np.column_stack([col, col, col])
-        y = col * 2.0 + 0.1 * rng.standard_normal(30)
-        r2 = feature_ic50_r2(x, y)
-        assert 0.8 < r2 <= 1.0
-
-    def test_zero_variance_target(self):
-        with pytest.raises(ParameterError, match=r"ic50 has zero variance; R\^2 undefined"):
-            feature_ic50_r2(np.random.default_rng(12).standard_normal((10, 2)),
-                            np.ones(10))
 
 
 @pytest.fixture(scope="module")

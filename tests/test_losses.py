@@ -6,12 +6,126 @@ import pytest
 
 from fourierdg.errors import ParameterError
 from fourierdg.losses import (
+    COS_EPS,
     asymmetric_loss,
     attention_diagnostic,
+    class_cosines,
     classification_loss,
     domain_adversarial_loss,
     total_loss,
 )
+
+
+def pairwise_asymmetric_loss(z, response):
+    """Reference: the loss and gradient from the full b x b cosine matrix
+    and anchor weights, as the clustering loss was first written."""
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(response)
+    b = z.shape[0]
+    pos = np.flatnonzero(y == 1)
+    neg = np.flatnonzero(y != 1)
+    n_pos, n_neg = pos.size, neg.size
+    if n_pos == 0 or (n_pos == 1 and n_neg == 0):
+        return 0.0, np.zeros_like(z), True
+    norms = np.maximum(np.linalg.norm(z, axis=1), COS_EPS)
+    zh = z / norms[:, None]
+    cos = zh @ zh.T
+    weights = np.zeros((b, b))
+    if n_pos > 1:
+        weights[np.ix_(pos, pos)] = -1.0 / (n_pos * (n_pos - 1))
+        weights[pos, pos] = 0.0
+    if n_neg > 0:
+        weights[np.ix_(pos, neg)] = 1.0 / (n_pos * n_neg)
+    loss = float(np.sum(weights * cos))
+    sym = weights + weights.T
+    grad = (sym @ zh - (sym * cos).sum(axis=1)[:, None] * zh) / norms[:, None]
+    return loss, grad, False
+
+
+def batch(b, n_pos, seed, d=9):
+    rng = np.random.default_rng(seed)
+    y = np.zeros(b, dtype=np.int64)
+    y[rng.permutation(b)[:n_pos]] = 1
+    return rng.standard_normal((b, d)), y
+
+
+class TestAgainstPairwiseReference:
+    B = 12
+
+    def check(self, z, y):
+        loss, grad, degenerate = asymmetric_loss(z, y)
+        ref_loss, ref_grad, ref_degenerate = pairwise_asymmetric_loss(z, y)
+        assert degenerate == ref_degenerate
+        assert grad.shape == ref_grad.shape and grad.dtype == np.float64
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        # row by row: a row shorter than COS_EPS has a gradient ~1e12 times
+        # the others'
+        scale = np.abs(ref_grad).max(axis=1)
+        assert (np.abs(grad - ref_grad).max(axis=1) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("n_pos", [1, 2, B - 1, B // 2])
+    def test_sensitive_counts(self, n_pos):
+        self.check(*batch(self.B, n_pos, seed=n_pos))
+
+    def test_no_resistant_row(self):
+        self.check(*batch(self.B, self.B, seed=20))
+
+    @pytest.mark.parametrize("label", [1, 0])
+    @pytest.mark.parametrize("size", [0.0, 1e-14])
+    def test_row_shorter_than_cos_eps(self, label, size):
+        z, y = batch(self.B, 5, seed=21)
+        row = int(np.flatnonzero(y == label)[0])
+        z[row] *= size
+        assert np.linalg.norm(z[row]) < COS_EPS
+        self.check(z, y)
+
+    def test_float32_input(self):
+        z, y = batch(self.B, 5, seed=22)
+        self.check(z.astype(np.float32), y)
+
+    def test_wide_batch(self):
+        self.check(*batch(64, 30, seed=23, d=740))
+
+
+class TestClassCosines:
+    def test_loss_is_minus_first_plus_second(self):
+        for seed in range(5):
+            z, y = batch(10, 2 + seed, seed=30 + seed)
+            pos, cross, _ = class_cosines(z, y)
+            loss = asymmetric_loss(z, y)[0]
+            assert loss == pytest.approx(-pos + cross, rel=1e-12, abs=1e-15)
+
+    def test_pairwise_means(self):
+        z, y = batch(8, 3, seed=40)
+        zh = z / np.linalg.norm(z, axis=1)[:, None]
+        cos = zh @ zh.T
+        pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+        off = ~np.eye(8, dtype=bool)
+        expected = (
+            cos[np.ix_(pos, pos)][off[np.ix_(pos, pos)]].mean(),
+            cos[np.ix_(pos, neg)].mean(),
+            cos[np.ix_(neg, neg)][off[np.ix_(neg, neg)]].mean(),
+        )
+        assert class_cosines(z, y) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("y, defined", [
+        ([1, 0, 0], (False, True, True)),
+        ([1, 1, 0], (True, True, False)),
+        ([1, 1, 1], (True, False, False)),
+        ([0, 0, 0], (False, False, True)),
+        ([1], (False, False, False)),
+    ])
+    def test_nan_without_a_pair(self, y, defined):
+        z = np.random.default_rng(41).standard_normal((len(y), 4))
+        assert tuple(not np.isnan(c) for c in class_cosines(z, y)) == defined
+
+    def test_row_scale_invariance(self):
+        z, y = batch(9, 4, seed=42)
+        base = class_cosines(z, y)
+        for i, c in ((0, 2.5), (3, 17.0), (8, 1e-3)):
+            scaled = z.copy()
+            scaled[i] *= c
+            assert class_cosines(scaled, y) == pytest.approx(base, rel=1e-12)
 
 
 class TestAsymmetricLoss:

@@ -17,7 +17,6 @@ from fourierdg.evaluate import (
     LodoReport,
     RocResult,
     write_ablation_csv,
-    write_embedding_csv,
     write_report_csv,
     write_roc_csv,
 )
@@ -100,14 +99,6 @@ def test_ablation(tmp_path):
     )
     assert written(tmp_path, write_ablation_csv, result) == (
         b"seed,faac,domain,auroc\n1,1,D0,0.875\n1,0,D0,-0.0\n2,1,D1,1e+16\n"
-    )
-
-
-def test_embedding(tmp_path):
-    coords = np.array([[0.5, -0.0], [1e-07, 1e16], [-2.25, 3.0]])
-    labels = [1, 0, np.int64(1)]
-    assert written(tmp_path, write_embedding_csv, ["a", "b", "c"], coords, labels) == (
-        b"sample_id,x,y,label\na,0.5,-0.0,1\nb,1e-07,1e+16,0\nc,-2.25,3.0,1\n"
     )
 
 

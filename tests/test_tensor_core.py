@@ -87,6 +87,29 @@ class TestRelu:
         assert np.array_equal(relu(x) + relu(-x), np.abs(x))
 
 
+def two_branch_sigmoid(x):
+    """Reference: 1 / (1 + exp(-x)) where x >= 0 and e^x / (1 + e^x)
+    elsewhere, each computed on its own gathered entries."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_two_branch_formula(self, dtype):
+        special = [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+        x = np.concatenate([
+            np.random.default_rng(0).standard_normal(2000) * 30, special,
+        ]).astype(dtype).reshape(-1, 2)
+        y = sigmoid(x)
+        assert y.dtype == dtype
+        assert y.tobytes() == two_branch_sigmoid(x).tobytes()
+
+
 class TestBatchNorm:
     def test_two_sample_column(self):
         # mean 2, population variance 1, so outputs are +-1/sqrt(1+eps)
