@@ -32,7 +32,6 @@ from .fourier import FourierBasis, build_basis, project, reconstruct
 from .losses import (
     LossBreakdown,
     asymmetric_loss,
-    attention_diagnostic,
     class_cosines,
     classification_loss,
     domain_adversarial_loss,
@@ -63,9 +62,8 @@ __all__ = [
     "FourierDGError", "TrainingDivergedError",
     "ablate_faac", "auroc", "lodo_run", "roc_points",
     "FourierBasis", "build_basis", "project", "reconstruct",
-    "LossBreakdown", "asymmetric_loss", "attention_diagnostic",
-    "class_cosines", "classification_loss", "domain_adversarial_loss",
-    "total_loss",
+    "LossBreakdown", "asymmetric_loss", "class_cosines",
+    "classification_loss", "domain_adversarial_loss", "total_loss",
     "Checkpoint", "GrlConfig", "ModelParams", "checkpoint_to_json", "encode",
     "forward_full", "gradient_suite", "init_params", "load_checkpoint",
     "save_checkpoint",

@@ -16,7 +16,6 @@ from dataclasses import asdict
 
 from . import evaluate, fourier, synth
 from .data import (
-    align_genes,
     binarize_ic50,
     check_names,
     load_expression,
@@ -25,7 +24,6 @@ from .data import (
     write_expression,
     write_metadata,
     write_table,
-    zscore_fit_apply,
 )
 from .errors import FourierDGError, ParameterError, TrainingDivergedError, naming_path
 from .losses import class_cosines
@@ -196,7 +194,7 @@ def _cmd_train(args) -> int:
     _print_resolved("train", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
-    ckpt, logs = train_checkpoint(gm, metas, cfg, hvg=k)
+    ckpt, logs, rows = train_checkpoint(gm, metas, cfg, hvg=k)
     for log in logs:
         print(
             f"epoch {log.epoch:03d} total={log.losses.total:.6f} "
@@ -205,8 +203,7 @@ def _cmd_train(args) -> int:
     save_checkpoint(args.out_checkpoint, ckpt)
     write_log_csv(args.out_log, logs)
     params = ckpt.params
-    gm, _ = zscore_fit_apply(align_genes(gm, params.gene_list), ckpt.stats)
-    z = fourier.project(encode(gm.values, params, "eval"), params.basis)
+    z = fourier.project(encode(rows.values, params, "eval"), params.basis)
     cos_pos, cos_cross, cos_neg = class_cosines(z, [m.response for m in metas])
     print(
         f"class cosines (training rows, eval mode): sensitive={cos_pos:.4f} "

@@ -319,12 +319,7 @@ def select_hvg(gm: GeneMatrix, k: int) -> GeneMatrix:
     variances = gm.values.var(axis=0)
     ranked = sorted(range(g), key=lambda j: (-variances[j], gm.gene_names[j]))
     keep = set(ranked[:k])
-    cols = [j for j in range(g) if j in keep]
-    return GeneMatrix(
-        list(gm.sample_ids),
-        [gm.gene_names[j] for j in cols],
-        np.take(gm.values, cols, axis=1),
-    )
+    return align_genes(gm, [gm.gene_names[j] for j in range(g) if j in keep])
 
 
 def binarize_ic50(metas: Sequence[SampleMeta]) -> list[SampleMeta]:

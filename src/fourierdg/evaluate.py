@@ -148,7 +148,7 @@ def run_fold(
     """
     metas = match_metadata(gm, metas)
     train_idx, test_idx = lodo_split(metas, held_out_domain)
-    ckpt, logs = train_checkpoint(
+    ckpt, logs, _ = train_checkpoint(
         subset_samples(gm, train_idx), [metas[i] for i in train_idx], cfg, hvg
     )
     scores = predict(subset_samples(gm, test_idx), ckpt)

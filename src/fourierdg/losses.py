@@ -1,4 +1,4 @@
-"""Training objectives and the attention diagnostic.
+"""Training objectives.
 
 All losses return their analytic input gradient alongside the scalar so
 the training loop can chain them onto gradient tapes; every gradient is
@@ -156,11 +156,3 @@ def total_loss(
             raise ParameterError(f"{name} must be finite and >= 0, got {w}")
     total = l_adv + lambda1 * l_asy + lambda2 * l_cls
     return LossBreakdown(l_asy=l_asy, l_adv=l_adv, l_cls=l_cls, total=total)
-
-
-def attention_diagnostic(z: Array) -> Array:
-    """Scaled dot-product similarity z_i . z_j / sqrt(d), inspection only."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ParameterError("attention_diagnostic needs a non-empty b x d matrix")
-    return (z @ z.T) / np.sqrt(z.shape[1])

@@ -253,12 +253,13 @@ def train_checkpoint(
     metas: Sequence[SampleMeta],
     cfg: TrainConfig,
     hvg: Optional[int] = None,
-) -> tuple[Checkpoint, list[EpochLog]]:
+) -> tuple[Checkpoint, list[EpochLog], GeneMatrix]:
     """Fit preprocessing and the model on raw, row-aligned training data.
 
     Keeps the ``hvg`` most variable genes (all when ``None``), standardizes
     them with statistics fit here, trains, and returns the checkpoint that
-    :func:`predict` scores new samples with, plus the epoch logs.
+    :func:`predict` scores new samples with, the epoch logs, and the
+    standardized rows the model was fit on.
     """
     if hvg is not None:
         gm = select_hvg(gm, hvg)
@@ -271,7 +272,7 @@ def train_checkpoint(
         train_config=asdict(cfg),
         domains=sorted({m.domain for m in metas}),
     )
-    return ckpt, logs
+    return ckpt, logs, gm
 
 
 def predict(gm: GeneMatrix, ckpt: Checkpoint) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line surface: flags, validation, determinism, round trips."""
 
 import json
+import sys
 from dataclasses import fields
 
 import pytest
@@ -365,6 +366,24 @@ class TestRoundTrip:
             f"class cosines (training rows, eval mode): sensitive={pos:.4f} "
             f"sensitive_resistant={cross:.4f} resistant={neg:.4f}"
         ]
+
+    def test_train_standardizes_once(self, dataset, tmp_path, monkeypatch):
+        # every fourierdg namespace that holds zscore_fit_apply gets the
+        # counting wrapper, so a call through any import path is seen
+        expr, meta = dataset
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return zscore_fit_apply(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "fourierdg" or name.startswith("fourierdg."):
+                for key, value in list(vars(module).items()):
+                    if value is zscore_fit_apply:
+                        monkeypatch.setattr(module, key, counted)
+        assert run(train_args(expr, meta, tmp_path, "once")) == 0
+        assert len(calls) == 1
 
 
 class TestLodoAndAblate:

@@ -58,11 +58,11 @@ def unused_imports(tree: ast.AST) -> list[str]:
     return sorted(bound - read)
 
 
-def unreferenced_definitions(trees: dict, exported: set) -> list[str]:
-    """Module-level functions and classes that no module of ``trees`` reads,
-    imports or reaches as an attribute, and that are not ``exported``."""
-    referenced = set(exported)
-    for tree in trees.values():
+def referenced_names(trees) -> set[str]:
+    """Every name that one of ``trees`` reads, imports or reaches as an
+    attribute."""
+    referenced = set()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
@@ -70,6 +70,13 @@ def unreferenced_definitions(trees: dict, exported: set) -> list[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
+    return referenced
+
+
+def unreferenced_definitions(trees: dict, exported: set) -> list[str]:
+    """Module-level functions and classes that no module of ``trees`` reads,
+    imports or reaches as an attribute, and that are not ``exported``."""
+    referenced = referenced_names(trees.values()) | set(exported)
     return sorted(
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -103,6 +110,31 @@ def test_guard_flags_an_unreferenced_definition():
         "b": ast.parse("from .a import used\nused()\n"),
     }
     assert unreferenced_definitions(trees, {"Kept"}) == ["a.dead"]
+
+
+def unread_exports(exported, trees) -> list[str]:
+    """Names of ``exported`` that none of ``trees`` reads, imports or
+    reaches as an attribute."""
+    return sorted(set(exported) - referenced_names(trees))
+
+
+def test_every_export_is_read():
+    # the package's modules, the demos and the benchmark harness (read only);
+    # __init__ is left out, since it imports every exported name
+    import fourierdg
+
+    repo = PACKAGE.parent.parent
+    paths = MODULES + sorted((repo / "demos").glob("*.py")) + sorted(
+        (repo / "perfbench").glob("*.py"))
+    assert unread_exports(fourierdg.__all__, [parse(p) for p in paths]) == []
+
+
+def test_guard_flags_an_unread_export():
+    trees = [
+        ast.parse("from .a import used\nused()\n"),
+        ast.parse("import fourierdg as fdg\nfdg.reached(1)\n"),
+    ]
+    assert unread_exports(["used", "reached", "dead"], trees) == ["dead"]
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}

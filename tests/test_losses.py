@@ -8,7 +8,6 @@ from fourierdg.errors import ParameterError
 from fourierdg.losses import (
     COS_EPS,
     asymmetric_loss,
-    attention_diagnostic,
     class_cosines,
     classification_loss,
     domain_adversarial_loss,
@@ -329,24 +328,3 @@ class TestTotalLoss:
             total_loss(0.0, 0.0, 0.0, -1.0, 1.0)
         with pytest.raises(ParameterError):
             total_loss(0.0, 0.0, 0.0, 1.0, float("inf"))
-
-
-class TestAttentionDiagnostic:
-    def test_orthogonal_rows(self):
-        z = np.eye(4)
-        alpha = attention_diagnostic(z)
-        off = alpha - np.diag(np.diag(alpha))
-        assert np.array_equal(off, np.zeros((4, 4)))
-
-    def test_scaled_self_similarity(self):
-        # ||z||^2 = sqrt(d) * c  ->  alpha[i][j] = c for identical rows
-        d, c = 4, 1.7
-        row = np.zeros(d)
-        row[0] = np.sqrt(np.sqrt(d) * c)
-        alpha = attention_diagnostic(np.vstack([row, row]))
-        assert alpha[0, 1] == pytest.approx(c, rel=1e-12)
-
-    def test_symmetry(self):
-        z = np.random.default_rng(8).standard_normal((6, 5))
-        alpha = attention_diagnostic(z)
-        assert np.array_equal(alpha, alpha.T)

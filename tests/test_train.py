@@ -180,7 +180,7 @@ class TestFit:
         cfg = TrainConfig(**TINY)
         runs = []
         for run in range(2):
-            ckpt, logs = train_checkpoint(raw, metas, cfg)
+            ckpt, logs, _ = train_checkpoint(raw, metas, cfg)
             path = tmp_path / f"ck{run}"
             save_checkpoint(path, ckpt)
             runs.append(
@@ -324,7 +324,7 @@ class TestTrainCheckpoint:
     def test_is_hvg_zscore_fit(self):
         raw, metas = tiny_raw()
         cfg = TrainConfig(**TINY)
-        ckpt, logs = train_checkpoint(raw, metas, cfg, hvg=10)
+        ckpt, logs, _ = train_checkpoint(raw, metas, cfg, hvg=10)
         std, stats = zscore_fit_apply(select_hvg(raw, 10))
         params, ref_logs = fit(std, metas, cfg)
         assert ckpt.params.gene_list == std.gene_names
@@ -335,6 +335,15 @@ class TestTrainCheckpoint:
         assert ckpt.train_config == asdict(cfg)
         assert ckpt.grl.coefficient == cfg.grl_coefficient
         assert ckpt.domains == ["D0", "D1", "D2"]
+
+    @pytest.mark.parametrize("hvg", [10, None], ids=["hvg-10", "all-genes"])
+    def test_returns_the_rows_it_standardized(self, hvg):
+        raw, metas = tiny_raw()
+        ckpt, _, rows = train_checkpoint(raw, metas, TrainConfig(**TINY), hvg=hvg)
+        expected, _ = zscore_fit_apply(align_genes(raw, ckpt.params.gene_list), ckpt.stats)
+        assert rows.gene_names == ckpt.params.gene_list
+        assert rows.sample_ids == raw.sample_ids
+        assert rows.values.tobytes() == expected.values.tobytes()
 
 
 def test_float32_scores_stay_inside_the_open_interval():
@@ -363,7 +372,7 @@ def test_eval_bits_pinned(genes, hidden, d, per_domain, encode_sha, predict_sha)
     gm, metas = generate(SynthConfig(domains=3, genes=genes, per_domain=10, seed=4))
     cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, seed=5,
                       enc_hidden=hidden, enc_out=d, disc_hidden=8)
-    ckpt, _ = train_checkpoint(gm, metas, cfg)
+    ckpt, _, _ = train_checkpoint(gm, metas, cfg)
     cohort, _ = generate(SynthConfig(domains=3, genes=genes, per_domain=per_domain, seed=6))
     cohort = align_genes(cohort, cohort.gene_names[::-1])
     standardized, _ = zscore_fit_apply(align_genes(cohort, ckpt.params.gene_list), ckpt.stats)
@@ -393,7 +402,7 @@ class TestConvergenceOnDefaultBenchmark:
             lr=1e-3, batch_size=64, epochs=50, seed=2,
             enc_hidden=128, enc_out=64, disc_hidden=32,
         )
-        ckpt, logs = train_checkpoint(raw, metas, cfg)
+        ckpt, logs, _ = train_checkpoint(raw, metas, cfg)
         return raw, metas, ckpt, logs
 
     def test_final_train_auroc(self, converged):
