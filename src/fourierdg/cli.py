@@ -228,6 +228,8 @@ def _cmd_lodo(args) -> int:
     _print_resolved("lodo", args)
     gm, metas = _load_labeled(args.expr, args.meta)
     _check_domains(metas, args.out_roc_dir)
+    if args.out_roc_dir is not None:
+        os.makedirs(args.out_roc_dir, exist_ok=True)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     report = evaluate.lodo_run(gm, metas, cfg, hvg=k)
     for e in report.entries:
@@ -235,7 +237,6 @@ def _cmd_lodo(args) -> int:
     print(f"mean auroc={report.mean_auroc:.4f}")
     evaluate.write_report_csv(args.out_report, report)
     if args.out_roc_dir is not None:
-        os.makedirs(args.out_roc_dir, exist_ok=True)
         for e in report.entries:
             evaluate.write_roc_csv(
                 os.path.join(args.out_roc_dir, f"roc_{e.domain}.csv"), e.roc

@@ -133,6 +133,15 @@ class FoldResult:
     roc: RocResult
 
 
+def _labeled(gm: GeneMatrix, metas: Sequence[SampleMeta]) -> list[SampleMeta]:
+    """``metas`` aligned to ``gm``; refused, before any fold trains, unless
+    every row has a response."""
+    metas = match_metadata(gm, metas)
+    if any(m.response is None for m in metas):
+        raise ParameterError("all responses must be set before LODO; binarize ic50 first")
+    return metas
+
+
 def run_fold(
     gm: GeneMatrix,
     metas: Sequence[SampleMeta],
@@ -146,7 +155,7 @@ def run_fold(
     the held-out rows are then pushed through :func:`predict` against the
     fold checkpoint, exactly as an external dataset would be.
     """
-    metas = match_metadata(gm, metas)
+    metas = _labeled(gm, metas)
     train_idx, test_idx = lodo_split(metas, held_out_domain)
     ckpt, logs, _ = train_checkpoint(
         subset_samples(gm, train_idx), [metas[i] for i in train_idx], cfg, hvg
@@ -189,11 +198,7 @@ def lodo_run(
     hvg: Optional[int] = None,
 ) -> LodoReport:
     """Hold out each eligible domain in turn; report per-domain ROC."""
-    metas = match_metadata(gm, metas)
-    if any(m.response is None for m in metas):
-        raise ParameterError(
-            "all responses must be set before LODO; binarize ic50 first"
-        )
+    metas = _labeled(gm, metas)
     if len({m.domain for m in metas}) < 2:
         raise ParameterError("LODO needs at least 2 domains")
     targets = eligible_domains(metas)
@@ -246,6 +251,8 @@ def ablate_faac(
         raise ParameterError("ablation needs at least 2 seeds")
     if len(set(seeds)) != len(seeds):
         raise ParameterError(f"ablation seeds must be distinct, got {list(seeds)}")
+    if cfg.lambda1 == 0:
+        raise ParameterError("ablation needs lambda1 > 0; at 0 both arms train the same model")
     rows: list[AblationRow] = []
     for seed in seeds:
         for faac_on in (True, False):

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -284,17 +284,15 @@ def batch_objective(
     lambda2: float,
     rng: Optional[RngState] = None,
     dropout_p: float = 0.0,
-) -> tuple[tuple[float, float, float], Callable[[], None]]:
-    """One train-mode forward of a batch: ``((l_asy, l_adv, l_cls), backward)``.
+) -> tuple[float, float, float]:
+    """One train-mode step of a batch; returns ``(l_asy, l_adv, l_cls)``.
 
-    ``backward()`` zeroes ``params.grads`` and leaves there the gradient of
+    Zeroes ``params.grads`` and leaves there the gradient of
     l_adv + lambda1 * l_asy + lambda2 * l_cls, with the encoder's share of
     l_adv passed through the reversal layer of ``grl`` (``None``: not
     reversed).  The head gradients are merged at z.  ``lambda1 == 0``
     skips the clustering loss, and l_asy is then 0.0.  The losses compute
-    in float64; their gradients are cast to the model's dtype.  Like a
-    tape, ``backward`` runs once and then drops the batch's tapes and
-    gradients.
+    in float64; their gradients are cast to the model's dtype.
     """
     tapes = ForwardTapes()
     z, p, logits = forward_full(x, params, grl, tapes, rng, dropout_p)
@@ -302,24 +300,16 @@ def batch_objective(
     l_adv, dlogits = domain_adversarial_loss(logits, domain)
     l_asy, dz_asy = asymmetric_loss(z, response)[:2] if lambda1 != 0.0 else (0.0, None)
     dp, dlogits = (g.astype(params.dtype, copy=False) for g in (dp, dlogits))
-    if dz_asy is not None:
-        dz_asy = dz_asy.astype(params.dtype, copy=False)
     lambda1, lambda2 = float(lambda1), float(lambda2)  # numpy scalars would upcast
 
-    def backward():
-        nonlocal tapes, dp, dlogits, dz_asy
-        if tapes is None:
-            raise ParameterError("batch already back-propagated; one backward per forward")
-        for t in params.trainables():
-            t.zero_grad()
-        dz = tapes.classifier.backward(lambda2 * dp[:, None])
-        dz = dz + tapes.discriminator.backward(dlogits)
-        if dz_asy is not None:
-            dz = dz + lambda1 * dz_asy
-        tapes.encoder.backward(dz)
-        tapes = dp = dlogits = dz_asy = None
-
-    return (l_asy, l_adv, l_cls), backward
+    for t in params.trainables():
+        t.zero_grad()
+    dz = tapes.classifier.backward(lambda2 * dp[:, None])
+    dz = dz + tapes.discriminator.backward(dlogits)
+    if dz_asy is not None:
+        dz = dz + lambda1 * dz_asy.astype(params.dtype, copy=False)
+    tapes.encoder.backward(dz)
+    return l_asy, l_adv, l_cls
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +534,7 @@ def gradient_suite() -> float:
 
     # Analytic pass: one forward/backward with the reversal in place.
     work = base.copy()
-    _, backward = batch_objective(x, y, dom, work, GrlConfig(coeff), lambda1, lambda2)
-    backward()
+    batch_objective(x, y, dom, work, GrlConfig(coeff), lambda1, lambda2)
     analytic = work.grads.copy()
 
     vec0 = base.values.copy()
@@ -554,7 +543,7 @@ def gradient_suite() -> float:
     def losses_at(vec):
         m = base.copy()
         m.values[...] = vec
-        return batch_objective(x, y, dom, m, None, lambda1, lambda2)[0]
+        return batch_objective(x, y, dom, m, None, lambda1, lambda2)
 
     def f_encoder(v):
         vec = vec0.copy()

@@ -221,7 +221,7 @@ def fit(
             batches = make_batches(n, cfg.batch_size, rng)
             sums = np.zeros(3)
             for batch_index, idx in enumerate(batches):
-                terms, backward = batch_objective(
+                terms = batch_objective(
                     x_all[idx], responses[idx], domains[idx], params, grl,
                     cfg.lambda1, cfg.lambda2, rng, cfg.dropout_p,
                 )
@@ -231,7 +231,6 @@ def fit(
                             f"training diverged at epoch {epoch}, batch index "
                             f"{batch_index}: {name} = {value}"
                         )
-                backward()
                 optim.step()
                 sums += terms
             means = sums / len(batches)

@@ -233,6 +233,38 @@ class TestValidation:
         assert capsys.readouterr().err == "error: ablation seeds must be distinct, got [1, 2, 1]\n"
         assert not table.exists()
 
+    def test_zero_lambda1_ablation_before_any_fold(self, dataset, tmp_path, capsys,
+                                                   monkeypatch):
+        expr, meta = dataset
+
+        def fail(*_, **__):
+            raise AssertionError("lodo_run called")
+
+        monkeypatch.setattr("fourierdg.evaluate.lodo_run", fail)
+        table = tmp_path / "t.csv"
+        rc = run(["ablate", "--expr", str(expr), "--meta", str(meta), *FAST_TRAIN,
+                  "--lambda1", "0", "--seeds", "1,2", "--out-table", str(table)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ablation needs lambda1 > 0")
+        assert not table.exists()
+
+    def test_roc_dir_that_is_a_file_before_any_fold(self, dataset, tmp_path, capsys,
+                                                    monkeypatch):
+        expr, meta = dataset
+
+        def fail(*_, **__):
+            raise AssertionError("lodo_run called")
+
+        monkeypatch.setattr("fourierdg.evaluate.lodo_run", fail)
+        roc_dir = tmp_path / "rocs"
+        roc_dir.write_text("a file\n")
+        report = tmp_path / "report.csv"
+        rc = run(["lodo", "--expr", str(expr), "--meta", str(meta), *FAST_TRAIN,
+                  "--out-report", str(report), "--out-roc-dir", str(roc_dir)])
+        assert rc == 1
+        assert str(roc_dir) in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestTrainFlags:
     def test_table_covers_every_config_field_but_seed(self):

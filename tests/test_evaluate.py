@@ -291,6 +291,24 @@ class TestLodoRun:
             e.roc.points for e in unwrapped.entries
         ]
 
+    @pytest.mark.parametrize("harness", [
+        lambda gm, metas, cfg: run_fold(gm, metas, "D0", cfg), lodo_run,
+    ], ids=["run_fold", "lodo_run"])
+    def test_unlabeled_row_refused_before_training(self, tiny_benchmark, monkeypatch,
+                                                   harness):
+        # a held-out row without a response, which fit never sees
+        gm, metas = tiny_benchmark
+        metas = [replace(metas[0], response=None), *metas[1:]]
+        assert metas[0].domain == "D0"
+
+        def fail(*_):
+            raise AssertionError("train_checkpoint called")
+
+        monkeypatch.setattr("fourierdg.evaluate.train_checkpoint", fail)
+        with pytest.raises(ParameterError, match=r"^all responses must be set before "
+                                                 r"LODO; binarize ic50 first$"):
+            harness(gm, metas, TrainConfig(**TINY))
+
     def test_hvg_restricts_checkpoint_genes(self, tiny_benchmark):
         gm, metas = tiny_benchmark
         fold = run_fold(gm, metas, "D0", TrainConfig(**TINY), hvg=10)
@@ -340,6 +358,17 @@ class TestAblateFaac:
         with pytest.raises(ParameterError,
                            match=r"^ablation seeds must be distinct, got \[1, 1\]$"):
             ablate_faac(gm, metas, TrainConfig(**TINY), seeds=[1, 1])
+
+    def test_refuses_zero_lambda1(self, tiny_benchmark, monkeypatch):
+        # both arms would train with lambda1 = 0 and report a delta of 0.0
+        gm, metas = tiny_benchmark
+
+        def fail(*_, **__):
+            raise AssertionError("lodo_run called")
+
+        monkeypatch.setattr("fourierdg.evaluate.lodo_run", fail)
+        with pytest.raises(ParameterError, match=r"^ablation needs lambda1 > 0"):
+            ablate_faac(gm, metas, TrainConfig(**{**TINY, "lambda1": 0.0}), seeds=[1, 2])
 
 
 class TestCsvWriters:

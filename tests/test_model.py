@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -243,9 +244,7 @@ class TestFloat32Model:
         p32, p64, x = self.twins()
         assert p32.grads.dtype == np.float32 and p64.grads.dtype == np.float64
         for params in (p32, p64):
-            _, backward = batch_objective(
-                x, self.Y, self.DOM, params, GrlConfig(0.9), 0.7, 1.3)
-            backward()
+            batch_objective(x, self.Y, self.DOM, params, GrlConfig(0.9), 0.7, 1.3)
         g32, g64 = p32.grads.astype(np.float64), p64.grads
         assert g64.any()
         rel = np.abs(g32 - g64) / np.maximum(1.0, np.maximum(np.abs(g32), np.abs(g64)))
@@ -267,9 +266,7 @@ class TestFloat32Model:
         assert z.dtype == p.dtype == logits.dtype == np.float32
         # numpy scalars, which a TrainConfig accepts, must not promote either
         grl, lambda1, lambda2 = GrlConfig(np.float64(0.9)), np.float64(0.7), np.float64(1.3)
-        _, backward = batch_objective(x, self.Y, self.DOM, p32, grl, lambda1, lambda2,
-                                      RngState(1), 0.5)
-        backward()
+        batch_objective(x, self.Y, self.DOM, p32, grl, lambda1, lambda2, RngState(1), 0.5)
         # classifier, discriminator, then encoder, whose first affine
         # returns no input gradient
         f32 = np.dtype(np.float32)
@@ -292,11 +289,10 @@ class TestBatchObjective:
         base = small_params(6)
         x = RngState(6).normal((6, 12))
         work = base.copy()
-        work.grads[...] = 7.0  # backward must zero what a previous batch left
-        terms, backward = batch_objective(x, self.Y, self.DOM, work, None, lambda1, lambda2)
+        work.grads[...] = 7.0  # the step must zero what a previous batch left
+        terms = batch_objective(x, self.Y, self.DOM, work, None, lambda1, lambda2)
         l_asy, l_adv, l_cls = objective_terms(base, x, self.Y, self.DOM)
         assert terms == (l_asy if lambda1 else 0.0, l_adv, l_cls)
-        backward()
 
         def f(vec):
             m = base.copy()
@@ -313,20 +309,23 @@ class TestBatchObjective:
         monkeypatch.setattr("fourierdg.model.asymmetric_loss", fail)
         params = small_params(7)
         x = RngState(7).normal((6, 12))
-        terms, backward = batch_objective(x, self.Y, self.DOM, params, GrlConfig(1.0), 0.0, 1.0)
-        backward()
+        terms = batch_objective(x, self.Y, self.DOM, params, GrlConfig(1.0), 0.0, 1.0)
         assert terms[0] == 0.0 and np.isfinite(params.grads).all()
 
-    def test_backward_runs_once(self):
+    def test_tapes_freed_on_return(self, monkeypatch):
+        made = []
+
+        def tracked():
+            tapes = ForwardTapes()
+            made.append(weakref.ref(tapes))
+            return tapes
+
+        monkeypatch.setattr("fourierdg.model.ForwardTapes", tracked)
         params = small_params(7)
         x = RngState(7).normal((6, 12))
-        _, backward = batch_objective(x, self.Y, self.DOM, params, GrlConfig(1.0), 1.0, 1.0)
-        backward()
-        grads = params.grads.copy()
-        with pytest.raises(ParameterError,
-                           match="batch already back-propagated; one backward per forward"):
-            backward()
-        assert np.array_equal(params.grads, grads)
+        result = batch_objective(x, self.Y, self.DOM, params, GrlConfig(1.0), 1.0, 1.0)
+        assert len(made) == 1 and made[0]() is None
+        assert len(result) == 3 and all(type(v) is float for v in result)
 
 
 class TestCheckpoint:
