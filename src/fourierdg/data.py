@@ -141,7 +141,9 @@ def _expression_header(lineno: int, line: str) -> tuple[str, list[str]]:
     delim = _detect_delimiter(line)
     header = [c.strip() for c in line.split(delim)]
     if header[0] != "sample_id":
-        raise ParseError(f"line {lineno}: first header field must be 'sample_id'")
+        raise ParseError(
+            f"line {lineno}: first header field must be 'sample_id', got {header[0]!r}"
+        )
     gene_names = header[1:]
     if "" in gene_names:
         raise ParseError(
@@ -240,7 +242,8 @@ def load_metadata(path) -> list[SampleMeta]:
     header = [c.strip() for c in header_line.split(delim)]
     if header != META_HEADER:
         raise ParseError(
-            f"line {header_lineno}: metadata header must be {','.join(META_HEADER)}"
+            f"line {header_lineno}: metadata header must be {','.join(META_HEADER)}, "
+            f"got {','.join(header)!r}"
         )
     metas: list[SampleMeta] = []
     seen: set[str] = set()

@@ -287,7 +287,8 @@ def batch_objective(
 ) -> tuple[float, float, float]:
     """One train-mode step of a batch; returns ``(l_asy, l_adv, l_cls)``.
 
-    Zeroes ``params.grads`` and leaves there the gradient of
+    Resets every gradient (``Param.zero_grad``) and leaves in
+    ``params.grads`` the gradient of
     l_adv + lambda1 * l_asy + lambda2 * l_cls, with the encoder's share of
     l_adv passed through the reversal layer of ``grl`` (``None``: not
     reversed).  The head gradients are merged at z.  ``lambda1 == 0``

@@ -31,10 +31,11 @@ class Param:
 
     ``value`` is C-contiguous float32 or float64; any other input is
     converted to float64.  ``grad`` defaults to zeros; a model passes views
-    into its flat storage for both (see ``ModelParams``).
+    into its flat storage for both (see ``ModelParams``).  Backward passes
+    write ``grad`` only through :meth:`add_grad`.
     """
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "grad", "_overwrite")
 
     def __init__(self, value, grad: Optional[Array] = None):
         value = np.asarray(value, order="C")
@@ -42,9 +43,23 @@ class Param:
             value = np.asarray(value, dtype=np.float64, order="C")
         self.value = value
         self.grad = np.zeros_like(self.value) if grad is None else grad
+        self._overwrite = False
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        """Start a new gradient without writing ``grad``: the next
+        :meth:`add_grad` overwrites it, and later ones add to it.  Until a
+        contribution writes it, ``grad`` holds no defined value."""
+        self._overwrite = True
+
+    def add_grad(self, op, *args, **kwargs):
+        """Add ``op(*args, **kwargs)`` to ``grad``.  Right after
+        :meth:`zero_grad`, ``op`` writes into ``grad`` itself (``out=``), so
+        no gradient-sized temporary is made."""
+        if self._overwrite:
+            op(*args, out=self.grad, **kwargs)
+            self._overwrite = False
+        else:
+            self.grad += op(*args, **kwargs)
 
 
 def zeros_mapped(n: int, dtype=np.float64) -> Array:
@@ -76,7 +91,11 @@ class GradTape:
 
     ``backward`` visits the records in exact reverse order of the forward
     calls and may be invoked once per tape; it then drops the records, and
-    with them the activations they hold.
+    with them the activations they hold.  Each parameter gradient a record
+    produces goes through ``Param.add_grad``: it overwrites ``grad`` if
+    ``zero_grad()`` came last, and adds to it otherwise.  After
+    ``zero_grad()``, ``grad`` holds no defined value until a contribution
+    writes it, so a step must reach every parameter it zeroed.
     """
 
     def __init__(self):
@@ -159,7 +178,8 @@ def affine(
 ) -> Array:
     """y = x @ W + bias, bias broadcast over rows.
 
-    Backward: dX = dY @ W.T, dW += x.T @ dY, dbias += column sums of dY.
+    Backward: dX = dY @ W.T, dW += x.T @ dY, dbias += column sums of dY
+    (each ``+=`` through ``Param.add_grad``).
     With ``input_grad=False`` (x is data, not an activation) backward skips
     dX and returns None.
     """
@@ -178,8 +198,8 @@ def affine(
     y += b.value
     if tape is not None:
         def backward(dy):
-            w.grad += x.T @ dy
-            b.grad += dy.sum(axis=0)
+            w.add_grad(np.matmul, x.T, dy)
+            b.add_grad(np.sum, dy, axis=0)
             return dy @ w.value.T if input_grad else None
         tape.record(backward)
     return y
@@ -229,8 +249,8 @@ def batchnorm(
     y = gamma.value * xhat + beta.value
     if tape is not None:
         def backward(dy):
-            gamma.grad += (dy * xhat).sum(axis=0)
-            beta.grad += dy.sum(axis=0)
+            gamma.add_grad(np.sum, dy * xhat, axis=0)
+            beta.add_grad(np.sum, dy, axis=0)
             dxhat = dy * gamma.value
             return (inv / b) * (
                 b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)

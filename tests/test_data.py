@@ -101,8 +101,12 @@ PARSER_CASES = [
      "line 1: empty gene name in header field 4"),
     ("trailing-delimiter-rows", "sample_id,g1,g2\ns1,1,2,\n",
      "line 2: expected 3 fields, got 4"),
+    # an R write.csv export quotes every header field, and its first one
+    # is "" unless row.names=FALSE
     ("quoted-header", '"sample_id","g1"\ns1,1\n',
-     "line 1: first header field must be 'sample_id'"),
+     "line 1: first header field must be 'sample_id', got '\"sample_id\"'"),
+    ("r-row-names-header", '"","g1"\n"s1",1\n',
+     "line 1: first header field must be 'sample_id', got '\"\"'"),
     ("quoted-cell", 'sample_id,g1\ns1,"1"\n',
      "line 2: non-numeric value '\"1\"' for gene 'g1'"),
     ("nan", "sample_id,g1,g2\ns1,1,2\ns2,nan,2\n",
@@ -166,7 +170,12 @@ METADATA_CASES = [
      "sample_id,domain,ic50,response\ns1,lung,0.5,\n \n\ns1,skin,,1\n",
      "line 5: duplicate sample_id 's1'"),
     ("blank-line-before-bad-header", "\nsample_id,domain,resp\ns1,lung,1\n",
-     "line 2: metadata header must be sample_id,domain,ic50,response"),
+     "line 2: metadata header must be sample_id,domain,ic50,response, "
+     "got 'sample_id,domain,resp'"),
+    ("quoted-header",
+     '"sample_id","domain","ic50","response"\n"s1","lung",0.5,\n',
+     "line 1: metadata header must be sample_id,domain,ic50,response, "
+     "got '\"sample_id\",\"domain\",\"ic50\",\"response\"'"),
     ("cr-line-ends",
      "sample_id,domain,ic50,response\rs1,lung,0.5,\r\rs2,skin,,2\r",
      "line 4: response must be 0 or 1, got '2'"),
@@ -222,7 +231,9 @@ def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
     delim = _detect_delimiter(line)
     header = [c.strip() for c in line.split(delim)]
     if not header or header[0] != "sample_id":
-        raise ParseError(f"line {lineno}: first header field must be 'sample_id'")
+        raise ParseError(
+            f"line {lineno}: first header field must be 'sample_id', got {header[0]!r}"
+        )
     gene_names = header[1:]
     if "" in gene_names:
         raise ParseError(

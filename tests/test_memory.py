@@ -21,6 +21,7 @@ from fourierdg.data import (
 from fourierdg.model import (
     Checkpoint,
     GrlConfig,
+    batch_objective,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -140,3 +141,19 @@ def test_predict_holds_one_cohort_copy_and_the_activations():
     assert scores.shape == (rows,)
     bound = cohort.values.nbytes + rows * (hidden + d) * 8 + 2**20
     assert peak <= bound, (peak / 1e6, bound / 1e6)
+
+
+def test_training_step_writes_weight_gradients_in_place():
+    # one float32 step at the reference widths, as fit takes it
+    rng = RngState(0)
+    params = init_params(1000, 6, rng, hidden=1024, d=740, disc_hidden=256,
+                         dtype=np.float32)
+    x = rng.normal((64, 1000)).astype(np.float32)
+    response, domain = np.arange(64) % 2, np.arange(64) % 6
+    args = (x, response, domain, params, GrlConfig(1.0), 1.0, 1.0, rng, 0.1)
+    batch_objective(*args)  # warm-up: first-call allocations are not the step's
+    _, peak = traced_peak(batch_objective, *args)
+    # the activations and their gradients; no temporary the size of w1's
+    # gradient (4.10 MB), which a zeroed arena plus ``grad += x.T @ dy``
+    # needed (6.43 MB peak against 3.16 MB)
+    assert peak < params.w1.grad.nbytes, (peak / 1e6, params.w1.grad.nbytes / 1e6)

@@ -284,23 +284,38 @@ class TestBatchObjective:
     Y = np.array([1, 1, 1, 0, 0, 0])
     DOM = np.array([0, 1, 2, 0, 1, 2])
 
-    @pytest.mark.parametrize("lambda1,lambda2", [(0.7, 1.3), (0.0, 1.0), (1.0, 0.0)])
-    def test_backward_is_gradient_of_weighted_sum(self, lambda1, lambda2):
+    # no reversal layer, and one of coefficient 0, under each weighting
+    @pytest.mark.parametrize("lambda1,lambda2,grl", [
+        pytest.param(lambda1, lambda2, grl, id=f"{lambda1}-{lambda2}{suffix}")
+        for grl, suffix in ((None, ""), (GrlConfig(0.0), "-grl0"))
+        for lambda1, lambda2 in ((0.7, 1.3), (0.0, 1.0), (1.0, 0.0))
+    ])
+    def test_backward_is_gradient_of_weighted_sum(self, lambda1, lambda2, grl):
         base = small_params(6)
         x = RngState(6).normal((6, 12))
         work = base.copy()
-        work.grads[...] = 7.0  # the step must zero what a previous batch left
-        terms = batch_objective(x, self.Y, self.DOM, work, None, lambda1, lambda2)
+        # zero_grad writes nothing, so each gradient left from a previous
+        # batch must be overwritten by this step's backward
+        work.grads[...] = 7.0
+        terms = batch_objective(x, self.Y, self.DOM, work, grl, lambda1, lambda2)
         l_asy, l_adv, l_cls = objective_terms(base, x, self.Y, self.DOM)
         assert terms == (l_asy if lambda1 else 0.0, l_adv, l_cls)
 
-        def f(vec):
-            m = base.copy()
-            m.values[...] = vec
-            l_asy, l_adv, l_cls = objective_terms(m, x, self.Y, self.DOM)
-            return l_adv + lambda1 * l_asy + lambda2 * l_cls, work.grads
+        def weighted_check(adv_weight, lo, hi):
+            """grad_check of the arena slice [lo, hi) against the weighted sum."""
+            def f(v):
+                m = base.copy()
+                m.values[lo:hi] = v
+                l_asy, l_adv, l_cls = objective_terms(m, x, self.Y, self.DOM)
+                return adv_weight * l_adv + lambda1 * l_asy + lambda2 * l_cls, work.grads[lo:hi]
 
-        assert grad_check(f, base.values.copy()) < 1e-4
+            return grad_check(f, base.values[lo:hi].copy())
+
+        # the encoder takes l_adv through the reversal layer, if there is one
+        n_enc = sum(p.value.size for p in base.encoder_trainables())
+        adv_weight = 1.0 if grl is None else -grl.coefficient
+        assert weighted_check(adv_weight, 0, n_enc) < 1e-4
+        assert weighted_check(1.0, n_enc, base.values.size) < 1e-4
 
     def test_zero_lambda1_never_calls_asymmetric_loss(self, monkeypatch):
         def fail(*_):

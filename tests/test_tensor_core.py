@@ -9,6 +9,7 @@ from fourierdg.errors import (
     ParameterError,
 )
 from fourierdg.tensor_core import (
+    BN_EPS,
     GradTape,
     Param,
     RngState,
@@ -261,6 +262,43 @@ class TestGradTape:
         dx = tape.backward(np.array([[1.0, 1.0]]))
         # forward pre-activation [1, 1]; both pass relu, dX = dY @ W.T
         assert np.array_equal(dx, [[1.0, -1.0]])
+
+
+class TestZeroGrad:
+    """``zero_grad`` writes nothing: the next backward overwrites ``grad``,
+    and a later one adds to it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_overwrites_then_adds(self, dtype):
+        rng = np.random.default_rng(8)
+        x, dy = (rng.standard_normal((6, 5)).astype(dtype),
+                 rng.standard_normal((6, 4)).astype(dtype))
+        w, b = (Param(rng.standard_normal(shape).astype(dtype)) for shape in ((5, 4), (4,)))
+        gamma, beta = Param(np.ones(5, dtype)), Param(np.zeros(5, dtype))
+        params = (w, b, gamma, beta)
+        for p in params:
+            p.grad[...] = 7.0  # what a previous batch left
+            p.zero_grad()
+            assert (p.grad == 7.0).all()  # no pass over the array
+
+        def backward():
+            tape = GradTape()
+            affine(batchnorm(x, gamma, beta, RunningStats(5, dtype), tape), w, b, tape)
+            tape.backward(dy)
+
+        backward()
+        # batchnorm's normalized input and upstream gradient, by the same
+        # operations as its forward and backward
+        xc = x - x.mean(axis=0)
+        xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=0) + BN_EPS))
+        dh = dy @ w.value.T
+        first = (xhat.T @ dy, dy.sum(axis=0), (dh * xhat).sum(axis=0), dh.sum(axis=0))
+        for p, want in zip(params, first):
+            assert p.grad.dtype == dtype and p.grad.tobytes() == want.tobytes()
+
+        backward()  # no zero_grad in between: accumulates
+        for p, want in zip(params, first):
+            assert p.grad.tobytes() == (want + want).tobytes()
 
 
 class TestRngState:
