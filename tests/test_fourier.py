@@ -1,5 +1,7 @@
 """Algebraic properties of the real-Fourier basis and projection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,59 @@ class TestBuildBasis:
         basis = build_basis(4)
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 2.0
+
+
+# sha256 of matrix.tobytes() and of norms_sq.tobytes(); any change to how
+# the basis is built must keep every bit
+PINNED_BASIS = [
+    (2, np.float64,
+     "9bbf32a4b18132e5d9aa858dc1fc01beb4ca23a4544cbed48ad82930ea45c978",
+     "f266388db081c55439a481be47a06e8dd6cc35de2b587c43429cfeed43c2770e"),
+    (4, np.float64,
+     "e635cc93fa8f52a08410b71499aef145c2e11b63350d3bac660b973e8aeed95e",
+     "cc92557b889392fbcaa5312a4a90ad87d4b074179eabc6018d83f95f714136f2"),
+    (6, np.float64,
+     "f39bac35b2b5b4b54def2c3de6bafee666ad86ffb0ce0cbd50ec596d31cfd5b6",
+     "3ecdb4fe065e359a901f6f62301d0a3d25d6197919fb12ba3fb801bae3c9ab61"),
+    (64, np.float64,
+     "27c9534d101e4674f788fd6d668676aaa47933ce9a575efeb6172aa2c53cc584",
+     "42998abf839b572e4973c7d0c97847142ac39a82a70b55a673e40cfd47b46d67"),
+    (740, np.float64,
+     "b04ea78b4973ea667e841e64a4d642c2f76cbf4884533161aee5fcdc16fe141e",
+     "7663850a6c1c7654529b2c469ae8b651928ba10f9633fd99d32604199fe90bec"),
+    (1024, np.float64,
+     "9656b08767852cbcae77befe101caffa4366e6e3e62bb44e141ef5d6de61553f",
+     "bce066019b4ee6738dabbfa50fe7b38038e75b6320be01c9fbebcd39876a0c41"),
+    (2, np.float32,
+     "f7f63c90857fde0a9fd1f776e3de6a57fb1509d4690a26ccd0dbbaec83517a87",
+     "ad02908e7dc8436bd2b7894ec3c745e38daae971187ca817c60e44c5af471827"),
+    (4, np.float32,
+     "86baf7a8dddde541207153a0d0989f75b3a2c4e4359d0349715469e62c6f31e1",
+     "e98fc73769f6a96827ee7dc788b1d442cb11e4887927bba7fb90f940945c20c2"),
+    (6, np.float32,
+     "77f693896d004d2f2f668ce2c88862db2e16c032ffb8a8993db34b6d6c7ca788",
+     "8981443cac079104991718b14feee829bb1f6b746a998ead616cd567cc8ef171"),
+    (64, np.float32,
+     "b41637c130021f410de60bfaef87637841dd285f23121cb13b545e2feb6a8a26",
+     "aca7736a8ce65abb5d847163e6e26a89473f48261f37217988e395ac4f945eb1"),
+    (740, np.float32,
+     "a0db2d6fb81d700311d0ced920f28e72261372a7216bfd3dcb5e45dda8c9f65b",
+     "a085fadf333882c49f63128f6489bd6a81ac99b2c4b5b0dc65845cf56bc4cb20"),
+    (1024, np.float32,
+     "0ae5df3dfc10257cc5196d3836416f970c9949a024837f155e7e0bd01e6afaec",
+     "a1942214b5826ca3347df993c95804a2f1a312114cafb4f90db0d4a8da51ddec"),
+]
+
+
+@pytest.mark.parametrize("d,dtype,matrix_sha,norms_sha", PINNED_BASIS)
+def test_basis_bits_pinned(d, dtype, matrix_sha, norms_sha):
+    basis = build_basis(d, dtype)
+    got = (hashlib.sha256(basis.matrix.tobytes()).hexdigest(),
+           hashlib.sha256(basis.norms_sq.tobytes()).hexdigest())
+    assert got == (matrix_sha, norms_sha), (
+        f"d={d} {np.dtype(dtype).name}: matrix {got[0]} (pinned {matrix_sha}), "
+        f"norms_sq {got[1]} (pinned {norms_sha})"
+    )
 
 
 class TestProject:
