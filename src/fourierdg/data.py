@@ -319,10 +319,23 @@ def select_hvg(gm: GeneMatrix, k: int) -> GeneMatrix:
     g = len(gm.gene_names)
     if k < 1 or k > g:
         raise ParameterError(f"k must be in [1, {g}], got {k}")
-    variances = gm.values.var(axis=0)
+    variances = _column_var(gm.values)
     ranked = sorted(range(g), key=lambda j: (-variances[j], gm.gene_names[j]))
     keep = set(ranked[:k])
     return align_genes(gm, [gm.gene_names[j] for j in range(g) if j in keep])
+
+
+def _column_var(values: np.ndarray) -> np.ndarray:
+    """``values.var(axis=0)``, bit for bit, 64 columns at a time, so that the
+    centred copy is never matrix-sized.  A one-column tail joins the block
+    before it: numpy sums a lone column pairwise, and only then would the
+    bits differ."""
+    g = values.shape[1]
+    edges = list(range(0, g, 64))
+    if len(edges) > 1 and g - edges[-1] == 1:
+        edges.pop()
+    edges.append(g)
+    return np.concatenate([values[:, a:b].var(axis=0) for a, b in zip(edges, edges[1:])])
 
 
 def binarize_ic50(metas: Sequence[SampleMeta]) -> list[SampleMeta]:

@@ -36,36 +36,41 @@ class FourierBasis:
 
 
 def build_basis(d: int, dtype=np.float64) -> FourierBasis:
-    """Construct the basis for an even dimension d >= 2.
+    """Construct the basis for an even dimension d in [2, MAX_DIM].
 
     Angles are reduced modulo the period in exact integer arithmetic
     before calling cos/sin, so orthogonality holds to ~machine precision
     even at large d.  The basis is immutable, so one instance per
     dimension and dtype is cached and shared by every model of that width
-    and dtype.  A float32 basis is the cached float64 one, rounded.
+    and dtype.  A float32 basis is the cached float64 one, rounded.  Rows
+    are written into the cached matrix itself, so the build holds no more
+    than the matrices it keeps.
     """
     return _cached_basis(d, np.dtype(dtype))
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_basis(d: int, dtype: np.dtype) -> FourierBasis:
-    if d < 2 or d % 2 != 0:
-        raise ParameterError(f"basis dimension must be even and >= 2, got {d}")
+    if d < 2 or d % 2 != 0 or d > MAX_DIM:
+        raise ParameterError(f"basis dimension must be even and in [2, {MAX_DIM}], got {d}")
     if dtype != np.float64:
         basis = _cached_basis(d, np.dtype(np.float64))
         return FourierBasis(d, basis.matrix.astype(dtype), basis.norms_sq.astype(dtype))
     j = np.arange(d, dtype=np.int64)
-    rows = [np.ones(d, dtype=np.float64)]
+    matrix = np.empty((d, d))
+    matrix[0] = 1.0
     for k in range(1, d // 2):
         ang = 2.0 * np.pi * ((k * j) % d) / d
-        rows.append(np.cos(ang))
-        rows.append(np.sin(ang))
-    rows.append(np.where(j % 2 == 0, 1.0, -1.0))
-    matrix = np.ascontiguousarray(np.vstack(rows))
+        np.cos(ang, out=matrix[2 * k - 1])
+        np.sin(ang, out=matrix[2 * k])
+    matrix[-1, 0::2] = 1.0
+    matrix[-1, 1::2] = -1.0
     # quarter-period samples are exactly 0 or +-1; snap away the fp residue
-    # (no legitimate grid value comes this close for any feasible d)
-    for target in (0.0, 1.0, -1.0):
-        matrix[np.abs(matrix - target) < 1e-12] = target
+    # (no legitimate grid value comes this close for any feasible d), 64
+    # rows at a time so that no mask is matrix-sized
+    for block in (matrix[i:i + 64] for i in range(0, d, 64)):
+        for target in (0.0, 1.0, -1.0):
+            block[np.abs(block - target) < 1e-12] = target
     norms_sq = np.full(d, d / 2.0)
     norms_sq[0] = float(d)
     norms_sq[-1] = float(d)

@@ -8,6 +8,7 @@ import pytest
 from fourierdg.data import (
     GeneMatrix,
     SampleMeta,
+    _column_var,
     align_genes,
     binarize_ic50,
     load_expression,
@@ -594,6 +595,15 @@ class TestSelectHvg:
         twice = select_hvg(once, 2)
         assert twice.gene_names == once.gene_names
         assert np.array_equal(twice.values, once.values)
+
+    # (300, 65) has a one-column tail, whose lone-column sum would differ
+    @pytest.mark.parametrize("shape", [
+        (300, 400), (500, 200), (600, 1000), (7, 65), (10, 129), (5, 1),
+        (3, 2), (1200, 3001), (50, 20000), (300, 65),
+    ])
+    def test_blocked_variance_equals_numpy_bitwise(self, shape):
+        values = np.random.default_rng(0).standard_normal(shape) * 3 + 5
+        assert _column_var(values).tobytes() == values.var(axis=0).tobytes()
 
 
 class TestBinarizeIc50:

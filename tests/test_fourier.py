@@ -1,12 +1,13 @@
 """Algebraic properties of the real-Fourier basis and projection."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from fourierdg.errors import ParameterError
-from fourierdg.fourier import build_basis, project, reconstruct
+from fourierdg.fourier import MAX_DIM, build_basis, project, reconstruct
 from fourierdg.tensor_core import GradTape, grad_check
 
 DIMS = (2, 4, 8, 64, 740)
@@ -37,9 +38,10 @@ class TestBuildBasis:
         gram = b @ b.T
         assert np.array_equal(gram - np.diag(np.diag(gram)), np.zeros((4, 4)))
 
-    @pytest.mark.parametrize("d", [0, 1, 3, 7])
+    @pytest.mark.parametrize("d", [0, 1, 3, 7, MAX_DIM + 2])
     def test_bad_dimension(self, d):
-        with pytest.raises(ParameterError):
+        message = f"basis dimension must be even and in [2, 4096], got {d}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             build_basis(d)
 
     @pytest.mark.parametrize("d", DIMS)

@@ -11,9 +11,11 @@ import tracemalloc
 
 import numpy as np
 
+from fourierdg import fourier
 from fourierdg.data import (
     align_genes,
     load_expression,
+    select_hvg,
     subset_samples,
     write_expression,
     zscore_fit_apply,
@@ -157,3 +159,20 @@ def test_training_step_writes_weight_gradients_in_place():
     # gradient (4.10 MB), which a zeroed arena plus ``grad += x.T @ dy``
     # needed (6.43 MB peak against 3.16 MB)
     assert peak < params.w1.grad.nbytes, (peak / 1e6, params.w1.grad.nbytes / 1e6)
+
+
+def test_basis_build_holds_only_the_cached_matrices():
+    fourier._cached_basis.cache_clear()
+    basis, peak = traced_peak(fourier.build_basis, 740, np.float32)
+    kept = basis.matrix.nbytes + fourier.build_basis(740).matrix.nbytes
+    # rows are written into the cached float64 matrix and snapped 64 rows at
+    # a time; no row list, stacked copy or matrix-sized mask (17.6 MB)
+    assert peak <= 1.2 * kept, (peak / 1e6, kept / 1e6)
+
+
+def test_select_hvg_holds_no_centred_copy():
+    gm, _ = generate(SynthConfig(genes=400, per_domain=50, seed=2))
+    out, peak = traced_peak(select_hvg, gm, 200)
+    # the variance takes 64 columns at a time; a whole-matrix ``var`` held a
+    # centred copy of the input (2.14x the output)
+    assert peak <= 1.5 * out.values.nbytes, peak / out.values.nbytes
