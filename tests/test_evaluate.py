@@ -158,6 +158,23 @@ class TestAuroc:
             1.0, abs=1e-12
         )
 
+    def test_bitwise_equal_to_midrank_statistic(self):
+        def midrank_statistic(s, y):
+            n_pos = int((y == 1).sum())
+            n_neg = s.size - n_pos
+            return (loop_midranks(s)[y == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+        rng = np.random.default_rng(6)
+        cases = [(np.array([0.0, -0.0, 0.0, -0.0, 1.0]), np.array([1, 0, 0, 1, 1]))]
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            labels = rng.integers(0, 2, n)
+            labels[rng.choice(n, 2, replace=False)] = [0, 1]
+            cases.append((rng.integers(0, int(rng.integers(1, 40)), n) / 7.0, labels))
+        for s, y in cases:
+            want = np.float64(midrank_statistic(s, y))
+            assert np.float64(auroc(s, y)).tobytes() == want.tobytes(), (s, y)
+
 
 class TestRocPoints:
     def test_perfect_three_corners(self):
