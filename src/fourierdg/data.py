@@ -49,6 +49,8 @@ class GeneMatrix:
             raise ParameterError("sample ids must be unique")
         if len(set(self.gene_names)) != len(self.gene_names):
             raise ParameterError("gene names must be unique")
+        if "" in self.gene_names:
+            raise ParameterError("gene names must not be empty")
         if self.values.size and not np.isfinite(self.values).all():
             raise ParameterError("expression values must be finite")
 
@@ -68,7 +70,9 @@ class SampleMeta:
                 f"sample {self.sample_id!r} needs ic50 or response"
             )
         # only values that write_metadata writes back as load_metadata reads
-        # them: a bool is written as True, a float response as 1.0
+        # them: no empty domain, no bool (written True), no float response (1.0)
+        if self.domain == "":
+            raise ParameterError(f"sample {self.sample_id!r}: domain must not be empty")
         if self.response is not None and not (
             isinstance(self.response, (int, np.integer))
             and not isinstance(self.response, bool) and self.response in (0, 1)
@@ -320,9 +324,11 @@ def select_hvg(gm: GeneMatrix, k: int) -> GeneMatrix:
     if k < 1 or k > g:
         raise ParameterError(f"k must be in [1, {g}], got {k}")
     variances = _column_var(gm.values)
-    ranked = sorted(range(g), key=lambda j: (-variances[j], gm.gene_names[j]))
-    keep = set(ranked[:k])
-    return align_genes(gm, [gm.gene_names[j] for j in range(g) if j in keep])
+    # object dtype compares names as str does; a unicode array would drop
+    # trailing NULs and tie 'a\x00' with 'a'
+    names = np.array(gm.gene_names, dtype=object)
+    keep = np.sort(np.lexsort((names, -variances))[:k])
+    return align_genes(gm, [gm.gene_names[j] for j in keep])
 
 
 def _column_var(values: np.ndarray) -> np.ndarray:

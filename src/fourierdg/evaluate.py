@@ -1,10 +1,11 @@
 """Metrics and experiment harnesses.
 
-AUROC uses the Mann-Whitney rank statistic with midranks for ties; the
-ROC sweep is built from integer tie-group counts and reports that same
-statistic as its area.  The leave-one-domain-out harness
-refits preprocessing inside every fold, so held-out samples can never
-touch normalization statistics or training.
+AUROC and the ROC sweep both come from one integer count per tie group:
+the cumulative negatives and positives at or above each distinct score.
+The area under those vertices is the Mann-Whitney statistic with ties
+counted half.  The leave-one-domain-out harness refits preprocessing
+inside every fold, so held-out samples can never touch normalization
+statistics or training.
 """
 
 from __future__ import annotations
@@ -46,35 +47,28 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, (labels == 1)
 
 
-def _group_ends(xs: np.ndarray) -> np.ndarray:
-    """Index of the last element of each run of equal values in sorted
-    ``xs``; NaN equals nothing, so each NaN is a run of its own."""
-    last = np.ones(xs.size, dtype=bool)
-    np.not_equal(xs[1:], xs[:-1], out=last[:-1])
-    return np.flatnonzero(last)
+def _roc_counts(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (negative, positive) counts at or above each distinct
+    score, descending, from (0, 0): the ROC's vertices in integers."""
+    scores, pos = _check_binary(scores, labels)
+    order = np.argsort(-scores, kind="mergesort")
+    ordered = scores[order]
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    tp = np.concatenate(([0], np.cumsum(pos[order])[ends]))
+    return np.concatenate(([0], ends + 1)) - tp, tp
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties receiving the mean of their positions."""
-    order = np.argsort(x, kind="mergesort")
-    ends = _group_ends(x[order])
-    counts = np.diff(ends, prepend=-1)
-    starts = ends - counts + 1
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, counts)
-    return ranks
+def _area(fp: np.ndarray, tp: np.ndarray) -> float:
+    """Trapezoid area under the count vertices: twice it is an exact
+    integer, divided once, so the result is correctly rounded."""
+    twice = int(np.dot(np.diff(fp), tp[1:] + tp[:-1]))
+    return twice / (2 * int(tp[-1]) * int(fp[-1]))
 
 
 def auroc(scores, labels) -> float:
     """P(score of a random positive > score of a random negative), ties
     counted half."""
-    scores, pos = _check_binary(scores, labels)
-    ranks = _midranks(scores)
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
-    return float(
-        (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    )
+    return _area(*_roc_counts(scores, labels))
 
 
 def roc_points(scores, labels) -> RocResult:
@@ -82,15 +76,11 @@ def roc_points(scores, labels) -> RocResult:
 
     Consecutive collinear points are merged (exactly, on the integer
     tie-group counts), so e.g. a perfectly separating score list yields
-    the three corners (0,0), (0,1), (1,1).  The area is :func:`auroc`.
+    the three corners (0,0), (0,1), (1,1).  The area is :func:`auroc`'s.
     """
-    scores, pos = _check_binary(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    ends = _group_ends(scores[order])
-    tp = np.cumsum(pos[order])[ends]
-    counts = [(0, 0), *zip((ends + 1 - tp).tolist(), tp.tolist())]
-    merged = [counts[0]]
-    for pt in counts[1:]:
+    fp, tp = _roc_counts(scores, labels)
+    merged: list[tuple[int, int]] = []
+    for pt in zip(fp.tolist(), tp.tolist()):
         while len(merged) >= 2:
             (x0, y0), (x1, y1) = merged[-2], merged[-1]
             if (x1 - x0) * (pt[1] - y1) == (y1 - y0) * (pt[0] - x1):
@@ -98,10 +88,9 @@ def roc_points(scores, labels) -> RocResult:
             else:
                 break
         merged.append(pt)
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
+    n_neg, n_pos = merged[-1]
     points = [(f / n_neg, t / n_pos) for f, t in merged]
-    return RocResult(auroc=auroc(scores, labels), points=points)
+    return RocResult(auroc=_area(fp, tp), points=points)
 
 
 # ---------------------------------------------------------------------------

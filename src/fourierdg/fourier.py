@@ -40,16 +40,17 @@ def build_basis(d: int, dtype=np.float64) -> FourierBasis:
 
     Angles are reduced modulo the period in exact integer arithmetic
     before calling cos/sin, so orthogonality holds to ~machine precision
-    even at large d.  The basis is immutable, so one instance per
-    dimension and dtype is cached and shared by every model of that width
-    and dtype.  A float32 basis is the cached float64 one, rounded.  Rows
-    are written into the cached matrix itself, so the build holds no more
-    than the matrices it keeps.
+    even at large d.  The basis is immutable, so it is shared by every
+    model of that width and dtype; the two most recently used are cached,
+    one width at both dtypes, so a sweep over widths does not keep every
+    width it built.  A float32 basis is the float64 one, rounded.  Rows are
+    written into the matrix itself, so the build holds no more than the
+    matrices it keeps.
     """
     return _cached_basis(d, np.dtype(dtype))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _cached_basis(d: int, dtype: np.dtype) -> FourierBasis:
     if d < 2 or d % 2 != 0 or d > MAX_DIM:
         raise ParameterError(f"basis dimension must be even and in [2, {MAX_DIM}], got {d}")

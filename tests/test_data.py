@@ -404,6 +404,16 @@ class TestWriterNames:
         assert str(err.value) == f"{field} {name!r} {problem}; it would not read back"
         assert not path.exists()
 
+    def test_empty_gene_name_refused_where_made(self):
+        # write_expression would write a header that load_expression refuses
+        with pytest.raises(ParameterError, match="^gene names must not be empty$"):
+            GeneMatrix(["s1"], ["", "g2"], np.ones((1, 2)))
+
+    def test_empty_domain_refused_where_made(self):
+        # write_metadata would write "s1,,0.5,1", which load_metadata refuses
+        with pytest.raises(ParameterError, match="^sample 's1': domain must not be empty$"):
+            SampleMeta("s1", "", 0.5, 1)
+
     def test_accepted_names_read_back(self, tmp_path):
         names = ["c d", "a;b", 'q"t', "caf\u00e9", "a|b"]
         gm = GeneMatrix(names, names[::-1], np.eye(len(names)))
@@ -595,6 +605,22 @@ class TestSelectHvg:
         twice = select_hvg(once, 2)
         assert twice.gene_names == once.gene_names
         assert np.array_equal(twice.values, once.values)
+
+    def test_ties_ordered_as_sorted_names(self):
+        # a numpy unicode array would drop the trailing NUL and tie "a\x00"
+        # with "a"; str comparison orders "a" first
+        pool = ["a", "a\x00", "a\x00\x00", "b", "B", "ab", "a b", "\u00e9", "g1", "g10", "g2"]
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            names = [pool[i] for i in rng.permutation(len(pool))]
+            patterns = rng.standard_normal((6, 3))
+            values = patterns[:, rng.integers(0, 3, len(names))]
+            gm = GeneMatrix([f"s{i}" for i in range(6)], names, values)
+            k = int(rng.integers(1, len(names) + 1))
+            variances = values.var(axis=0)
+            ranked = sorted(range(len(names)), key=lambda j: (-variances[j], names[j]))
+            want = [names[j] for j in sorted(ranked[:k])]
+            assert select_hvg(gm, k).gene_names == want
 
     # (300, 65) has a one-column tail, whose lone-column sum would differ
     @pytest.mark.parametrize("shape", [

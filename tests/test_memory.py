@@ -170,6 +170,22 @@ def test_basis_build_holds_only_the_cached_matrices():
     assert peak <= 1.2 * kept, (peak / 1e6, kept / 1e6)
 
 
+def test_basis_cache_keeps_one_width():
+    fourier._cached_basis.cache_clear()
+    widths = (1020, 1018, 1016, 1014)
+    tracemalloc.start()
+    try:
+        for d in widths:
+            fourier.build_basis(d, np.float32)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    one_width = widths[-1] ** 2 * (8 + 4)
+    # the last width at float64 and float32; the widths before it are
+    # dropped once no model holds them (an 8-entry cache held 50 MB here)
+    assert held <= 1.2 * one_width, (held / 1e6, one_width / 1e6)
+
+
 def test_select_hvg_holds_no_centred_copy():
     gm, _ = generate(SynthConfig(genes=400, per_domain=50, seed=2))
     out, peak = traced_peak(select_hvg, gm, 200)
