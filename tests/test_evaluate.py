@@ -1,6 +1,7 @@
 """Metrics against brute-force oracles, plus the LODO/ablation harnesses."""
 
 import gc
+import hashlib
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -394,3 +395,27 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "seed,faac,domain,auroc"
         assert len(lines) == 1 + len(result.rows)
+
+
+# sha256 of every file the harness writes for tiny_benchmark at TINY's
+# config: the LODO report, each fold's ROC and the seeds 1, 2 ablation
+PINNED_HARNESS = {
+    "ablation.csv": "9a2bb19217dba9315413d5f819f4b05b2e72ef5ba8ba83fb14b2108fcec6ddcb",
+    "report.csv": "83fd40c81985953752b2b1c0bdc8e7a32777f4cf71c2a45cf763b7584b1ad0b5",
+    "roc_D0.csv": "8b2360cf6348684c9b984b888b7d2bc84efe1152ae2e872168e05ec048d1c83b",
+    "roc_D1.csv": "32c9c3e5b0f9cbe560b97e9aeff25fe263efa7253771e4deecde537beee8c060",
+    "roc_D2.csv": "f041fe2a76acd7676dc43abdc24c2832d7f8abfc8b3bd2fb30e99cdc8cdef6b4",
+}
+
+
+def test_harness_outputs_pinned(tiny_benchmark, tmp_path):
+    gm, metas = tiny_benchmark
+    cfg = TrainConfig(**TINY)
+    report = lodo_run(gm, metas, cfg)
+    write_report_csv(tmp_path / "report.csv", report)
+    for e in report.entries:
+        write_roc_csv(tmp_path / f"roc_{e.domain}.csv", e.roc)
+    write_ablation_csv(tmp_path / "ablation.csv", ablate_faac(gm, metas, cfg, seeds=[1, 2]))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == PINNED_HARNESS, f"{cfg}: {got}"
