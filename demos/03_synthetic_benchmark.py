@@ -28,10 +28,10 @@ cfg = TrainConfig(
 print(f"holding out {held_out}; training on the rest "
       f"({cfg.epochs} epochs, widths {cfg.enc_hidden}/{cfg.enc_out})")
 
-fold = run_fold(gm, metas, held_out, cfg, hvg=100)
+fold, _, logs = run_fold(gm, metas, held_out, cfg, hvg=100)
 print()
 print("loss trajectory (every 5th epoch):")
-for log in fold.logs[::5]:
+for log in logs[::5]:
     print(f"  epoch {log.epoch:3d}: total={log.losses.total:+.4f} "
           f"cls={log.losses.l_cls:.4f} adv={log.losses.l_adv:.4f} "
           f"asy={log.losses.l_asy:+.4f} train_auc={log.train_auc:.3f}")

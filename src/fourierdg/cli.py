@@ -233,7 +233,7 @@ def _cmd_lodo(args) -> int:
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     report = evaluate.lodo_run(gm, metas, cfg, hvg=k)
     for e in report.entries:
-        print(f"domain {e.domain}: n_test={e.n_test} auroc={e.roc.auroc:.4f}")
+        print(f"domain {e.domain}: n_test={e.labels.size} auroc={e.roc.auroc:.4f}")
     print(f"mean auroc={report.mean_auroc:.4f}")
     evaluate.write_report_csv(args.out_report, report)
     if args.out_roc_dir is not None:

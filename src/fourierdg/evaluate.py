@@ -42,9 +42,13 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("scores and labels must have equal length")
     if not np.isfinite(scores).all():
         raise ParameterError("scores must be finite")
-    if not ((labels == 1).any() and (labels != 1).any()):
+    pos = labels == 1
+    bad = ~pos & (labels != 0)
+    if bad.any():
+        raise ParameterError(f"labels must be 0 or 1, got {labels[bad].tolist()[0]!r}")
+    if not (pos.any() and not pos.all()):
         raise ParameterError("AUROC needs both classes present")
-    return scores, (labels == 1)
+    return scores, pos
 
 
 def _roc_counts(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -98,28 +102,19 @@ def roc_points(scores, labels) -> RocResult:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DomainResult:
+class FoldResult:
+    """One held-out domain: its rows' scores and labels, and their ROC."""
+
     domain: str
-    n_test: int
-    n_pos: int
-    n_neg: int
+    scores: np.ndarray
+    labels: np.ndarray
     roc: RocResult
 
 
 @dataclass
 class LodoReport:
-    entries: list[DomainResult]
+    entries: list[FoldResult]
     mean_auroc: float
-
-
-@dataclass
-class FoldResult:
-    domain: str
-    checkpoint: Checkpoint
-    logs: list[EpochLog]
-    scores: np.ndarray
-    labels: np.ndarray
-    roc: RocResult
 
 
 def _labeled(gm: GeneMatrix, metas: Sequence[SampleMeta]) -> list[SampleMeta]:
@@ -137,8 +132,9 @@ def run_fold(
     held_out_domain: str,
     cfg: TrainConfig,
     hvg: Optional[int] = None,
-) -> FoldResult:
-    """Train with one domain held out and score that domain.
+) -> tuple[FoldResult, Checkpoint, list[EpochLog]]:
+    """Train with one domain held out and score that domain; returns the
+    fold with the checkpoint and logs it was scored with.
 
     Gene selection and standardization are fit on the training rows only;
     the held-out rows are then pushed through :func:`predict` against the
@@ -151,14 +147,7 @@ def run_fold(
     )
     scores = predict(subset_samples(gm, test_idx), ckpt)
     labels = np.array([metas[i].response for i in test_idx], dtype=np.int64)
-    return FoldResult(
-        domain=held_out_domain,
-        checkpoint=ckpt,
-        logs=logs,
-        scores=scores,
-        labels=labels,
-        roc=roc_points(scores, labels),
-    )
+    return FoldResult(held_out_domain, scores, labels, roc_points(scores, labels)), ckpt, logs
 
 
 def eligible_domains(metas: Sequence[SampleMeta]) -> list[str]:
@@ -169,16 +158,6 @@ def eligible_domains(metas: Sequence[SampleMeta]) -> list[str]:
             if min(counts[d, 0], counts[d, 1]) >= MIN_TEST_PER_CLASS]
 
 
-def _domain_result(fold: FoldResult) -> DomainResult:
-    return DomainResult(
-        domain=fold.domain,
-        n_test=int(fold.labels.size),
-        n_pos=int((fold.labels == 1).sum()),
-        n_neg=int((fold.labels == 0).sum()),
-        roc=fold.roc,
-    )
-
-
 def lodo_run(
     gm: GeneMatrix,
     metas: Sequence[SampleMeta],
@@ -186,7 +165,8 @@ def lodo_run(
     *,
     hvg: Optional[int] = None,
 ) -> LodoReport:
-    """Hold out each eligible domain in turn; report per-domain ROC."""
+    """Hold out each eligible domain in turn; report each fold's held-out
+    scores, labels and ROC."""
     metas = _labeled(gm, metas)
     if len({m.domain for m in metas}) < 2:
         raise ParameterError("LODO needs at least 2 domains")
@@ -196,11 +176,9 @@ def lodo_run(
             f"no domain has MIN_TEST_PER_CLASS = {MIN_TEST_PER_CLASS} or more "
             "samples of each class"
         )
-    # each fold's checkpoint is dropped once its entry is made, so one fold
-    # model is alive at a time
-    entries = [
-        _domain_result(run_fold(gm, metas, domain, cfg, hvg)) for domain in targets
-    ]
+    # each fold's checkpoint is dropped as soon as the fold is scored, so one
+    # fold model is alive at a time
+    entries = [run_fold(gm, metas, domain, cfg, hvg)[0] for domain in targets]
     mean_auroc = float(np.mean([e.roc.auroc for e in entries]))
     return LodoReport(entries=entries, mean_auroc=mean_auroc)
 
@@ -269,11 +247,16 @@ def write_roc_csv(path, roc: RocResult):
     write_table(path, ["fpr", "tpr"], roc.points)
 
 
+def _class_counts(labels: np.ndarray) -> list[int]:
+    """n_test, n_pos and n_neg of 0/1 labels."""
+    n_pos = int(np.count_nonzero(labels == 1))
+    return [labels.size, n_pos, labels.size - n_pos]
+
+
 def write_report_csv(path, report: LodoReport):
-    entries = report.entries
-    rows = [[e.domain, e.n_test, e.n_pos, e.n_neg, e.roc.auroc] for e in entries]
-    rows.append(["ALL", sum(e.n_test for e in entries), sum(e.n_pos for e in entries),
-                 sum(e.n_neg for e in entries), report.mean_auroc])
+    rows = [[e.domain, *_class_counts(e.labels), e.roc.auroc] for e in report.entries]
+    every = np.concatenate([e.labels for e in report.entries])
+    rows.append(["ALL", *_class_counts(every), report.mean_auroc])
     write_table(path, ["domain", "n_test", "n_pos", "n_neg", "auroc"], rows)
 
 

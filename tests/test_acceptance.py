@@ -250,19 +250,19 @@ class TestCriterion7LeakageGuard:
             lr=1e-3, batch_size=16, epochs=4, seed=3,
             enc_hidden=32, enc_out=16, disc_hidden=8,
         )
-        fold = run_fold(gm, metas, "D1", cfg, hvg=30)
+        _, ckpt, _ = run_fold(gm, metas, "D1", cfg, hvg=30)
         corrupted = gm.values.copy()
         held_out_rows = [i for i, m in enumerate(metas) if m.domain == "D1"]
         corrupted[held_out_rows, :] = 1e6 * np.sin(np.arange(corrupted.shape[1]))
         gm_corrupted = GeneMatrix(gm.sample_ids, gm.gene_names, corrupted)
-        foldcor = run_fold(gm_corrupted, metas, "D1", cfg, hvg=30)
+        _, ckpt_cor, _ = run_fold(gm_corrupted, metas, "D1", cfg, hvg=30)
         stats_same = np.array_equal(
-            fold.checkpoint.stats.mean, foldcor.checkpoint.stats.mean
-        ) and np.array_equal(fold.checkpoint.stats.std, foldcor.checkpoint.stats.std)
+            ckpt.stats.mean, ckpt_cor.stats.mean
+        ) and np.array_equal(ckpt.stats.std, ckpt_cor.stats.std)
         # the saved files hold every trained array's bytes after the header
         saved = []
-        for tag, result in (("clean", fold), ("corrupted", foldcor)):
-            save_checkpoint(tmp_path / tag, result.checkpoint)
+        for tag, result in (("clean", ckpt), ("corrupted", ckpt_cor)):
+            save_checkpoint(tmp_path / tag, result)
             saved.append((tmp_path / tag).read_bytes())
         params_same = saved[0] == saved[1]
         verdict(

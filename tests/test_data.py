@@ -26,7 +26,7 @@ from fourierdg.errors import ParameterError, ParseError
 from fourierdg.evaluate import (
     AblationResult,
     AblationRow,
-    DomainResult,
+    FoldResult,
     LodoReport,
     RocResult,
     write_ablation_csv,
@@ -390,9 +390,10 @@ class TestWriterNames:
     @pytest.mark.parametrize("table", ["report", "ablation", "scores"])
     def test_table_writers(self, tmp_path, table, name, problem):
         roc = RocResult(0.5, [(0.0, 0.0), (1.0, 1.0)])
+        fold = FoldResult(name, np.zeros(6), np.array([1, 1, 1, 0, 0, 0]), roc)
         field, write_to = {
             "report": ("domain", lambda path: write_report_csv(
-                path, LodoReport([DomainResult(name, 6, 3, 3, roc)], 0.5))),
+                path, LodoReport([fold], 0.5))),
             "ablation": ("domain", lambda path: write_ablation_csv(
                 path, AblationResult([AblationRow(1, True, name, 0.5)], 0.5, 0.5, 0.0, {}))),
             "scores": ("sample id", lambda path: write_table(

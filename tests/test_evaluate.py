@@ -107,6 +107,20 @@ class TestAuroc:
         with pytest.raises(ParameterError, match="AUROC needs both classes present"):
             auroc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("labels,first_bad", [
+        ([2, 1, -1], "2"), ([0, 1, 0.5], "0.5"), ([0, 1, None], "None"),
+    ])
+    @pytest.mark.parametrize("metric", [auroc, roc_points])
+    def test_labels_outside_0_1_rejected(self, metric, labels, first_bad):
+        # every label other than 1 once counted as a negative: [2, 1, -1] read 1.0
+        with pytest.raises(ParameterError, match=rf"^labels must be 0 or 1, got {first_bad}$"):
+            metric([0.1, 0.9, 0.5], labels)
+
+    @pytest.mark.parametrize("labels", [[False, True, False, True], [0.0, 1.0, 0.0, 1.0]])
+    def test_bool_and_float_labels_accepted(self, labels):
+        assert auroc([0.1, 0.9, 0.2, 0.8], labels) == 1.0
+        assert roc_points([0.1, 0.9, 0.2, 0.8], labels).auroc == 1.0
+
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -222,7 +236,9 @@ class TestLodoRun:
             np.mean([e.roc.auroc for e in report.entries])
         )
         for e in report.entries:
-            assert e.n_test == 30 and e.n_pos == 15 and e.n_neg == 15
+            assert e.scores.shape == e.labels.shape == (30,)
+            assert Counter(e.labels.tolist()) == {0: 15, 1: 15}
+            assert e.roc == roc_points(e.scores, e.labels)
 
     def test_min_test_filter(self, tiny_benchmark, monkeypatch):
         # every domain keeps one positive fewer than MIN_TEST_PER_CLASS
@@ -260,10 +276,10 @@ class TestLodoRun:
         cfg = TrainConfig(**TINY)
         report = lodo_run(gm, metas, cfg, hvg=20)
         for entry in report.entries:
-            fold = run_fold(gm, metas, entry.domain, cfg, hvg=20)
-            assert entry.roc.points == fold.roc.points
-            assert entry.roc.auroc == fold.roc.auroc
-            assert entry.n_test == fold.labels.size
+            fold, _, _ = run_fold(gm, metas, entry.domain, cfg, hvg=20)
+            assert entry.scores.tobytes() == fold.scores.tobytes()
+            assert entry.labels.tobytes() == fold.labels.tobytes()
+            assert entry.roc == fold.roc
 
     def test_holds_one_fold_model_at_a_time(self, tiny_benchmark, monkeypatch):
         gm, metas = tiny_benchmark
@@ -274,9 +290,9 @@ class TestLodoRun:
         def tracked_run_fold(*args, **kwargs):
             gc.collect()
             assert all(ref() is None for ref in earlier), "an earlier fold model is alive"
-            fold = run_fold(*args, **kwargs)
-            earlier.append(weakref.ref(fold.checkpoint.params))
-            return fold
+            result = run_fold(*args, **kwargs)
+            earlier.append(weakref.ref(result[1].params))
+            return result
 
         monkeypatch.setattr("fourierdg.evaluate.run_fold", tracked_run_fold)
         report = lodo_run(gm, metas, cfg)
@@ -306,8 +322,8 @@ class TestLodoRun:
 
     def test_hvg_restricts_checkpoint_genes(self, tiny_benchmark):
         gm, metas = tiny_benchmark
-        fold = run_fold(gm, metas, "D0", TrainConfig(**TINY), hvg=10)
-        assert len(fold.checkpoint.params.gene_list) == 10
+        _, ckpt, _ = run_fold(gm, metas, "D0", TrainConfig(**TINY), hvg=10)
+        assert len(ckpt.params.gene_list) == 10
 
 
 class TestAblateFaac:

@@ -13,7 +13,7 @@ from fourierdg.data import GeneMatrix, NormStats, SampleMeta, write_expression, 
 from fourierdg.evaluate import (
     AblationResult,
     AblationRow,
-    DomainResult,
+    FoldResult,
     LodoReport,
     RocResult,
     write_ablation_csv,
@@ -75,8 +75,9 @@ def test_roc(tmp_path):
 def test_lodo_report_with_all_row(tmp_path):
     report = LodoReport(
         entries=[
-            DomainResult("D0", 10, 4, 6, RocResult(np.float64(0.875), [])),
-            DomainResult("D1", 8, 3, 5, RocResult(1e-07, [])),
+            FoldResult("D0", np.zeros(10), np.array([1] * 4 + [0] * 6),
+                       RocResult(np.float64(0.875), [])),
+            FoldResult("D1", np.zeros(8), np.array([1] * 3 + [0] * 5), RocResult(1e-07, [])),
         ],
         mean_auroc=np.float64(0.4375),
     )
