@@ -17,7 +17,6 @@ from dataclasses import asdict
 from . import evaluate, fourier, synth
 from .data import (
     binarize_ic50,
-    check_names,
     load_expression,
     load_metadata,
     match_metadata,
@@ -140,19 +139,16 @@ def _effective_hvg(requested: int, gene_count: int) -> int:
     return requested
 
 
-def _check_domains(metas, roc_dir=None):
-    """Refuse, before the first fold trains, a held-out domain that the
-    report or table could not hold as a cell, or that could not name a
-    ROC file in ``roc_dir``."""
-    domains = evaluate.eligible_domains(metas)
-    check_names("domain", domains)
-    if roc_dir is not None:
-        for domain in domains:
-            if os.sep in domain or (os.altsep and os.altsep in domain):
-                raise ParameterError(
-                    f"domain {domain!r} contains a path separator; "
-                    "it cannot name a ROC file"
-                )
+def _check_roc_names(metas):
+    """Refuse, before the first fold trains, a held-out domain that could
+    not name a ROC file.  (load_metadata has already refused a domain that
+    the report could not hold as a cell.)"""
+    for domain in evaluate.eligible_domains(metas):
+        if os.sep in domain or (os.altsep and os.altsep in domain):
+            raise ParameterError(
+                f"domain {domain!r} contains a path separator; "
+                "it cannot name a ROC file"
+            )
 
 
 @naming_path
@@ -227,8 +223,8 @@ def _cmd_lodo(args) -> int:
     cfg = _train_config(args)
     _print_resolved("lodo", args)
     gm, metas = _load_labeled(args.expr, args.meta)
-    _check_domains(metas, args.out_roc_dir)
     if args.out_roc_dir is not None:
+        _check_roc_names(metas)
         os.makedirs(args.out_roc_dir, exist_ok=True)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     report = evaluate.lodo_run(gm, metas, cfg, hvg=k)
@@ -252,7 +248,6 @@ def _cmd_ablate(args) -> int:
         raise ParameterError(f"seeds must be comma-separated integers, got {args.seeds!r}")
     _print_resolved("ablate", args)
     gm, metas = _load_labeled(args.expr, args.meta)
-    _check_domains(metas)
     k = _effective_hvg(args.hvg, len(gm.gene_names))
     result = evaluate.ablate_faac(gm, metas, cfg, seeds, hvg=k)
     evaluate.write_ablation_csv(args.out_table, result)

@@ -156,6 +156,8 @@ def _expression_header(lineno: int, line: str) -> tuple[str, list[str]]:
         )
     if len(set(gene_names)) != len(gene_names):
         raise ParseError(f"line {lineno}: duplicate gene names in header")
+    for gene in gene_names:
+        _check_read_name("gene name", gene, lineno)
     return delim, gene_names
 
 
@@ -186,6 +188,7 @@ def load_expression(path) -> GeneMatrix:
                 f"got {len(cells) + 1}"
             )
         sid = sid.strip()
+        _check_read_name("sample id", sid, lineno)
         if sid in seen:
             raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
         seen.add(sid)
@@ -222,6 +225,14 @@ def check_names(kind: str, names):
         raise ParameterError(f"{kind} {name!r} {problem}; it would not read back")
 
 
+def _check_read_name(kind: str, name: str, lineno: int):
+    """The readers refuse, naming the line, what the writers refuse."""
+    try:
+        check_names(kind, (name,))
+    except ParameterError as e:
+        raise ParseError(f"line {lineno}: {e}") from None
+
+
 def write_expression(path, gm: GeneMatrix):
     check_names("sample id", gm.sample_ids)
     check_names("gene name", gm.gene_names)
@@ -256,11 +267,13 @@ def load_metadata(path) -> list[SampleMeta]:
         if len(cells) != 4:
             raise ParseError(f"line {lineno}: expected 4 fields, got {len(cells)}")
         sid, domain, ic50_cell, resp_cell = cells
+        _check_read_name("sample id", sid, lineno)
         if sid in seen:
             raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
         seen.add(sid)
         if domain == "":
             raise ParseError(f"line {lineno}: empty domain for {sid!r}")
+        _check_read_name("domain", domain, lineno)
         ic50 = None if ic50_cell == "" else _parse_float(ic50_cell, lineno, "for ic50")
         response: Optional[int] = None
         if resp_cell != "":

@@ -81,10 +81,15 @@ class TestValidation:
         assert rc == 1
         assert capsys.readouterr().err == "error: hvg must be >= 1, got 0\n"
 
+    # a domain that would not read back from the report or table is refused
+    # by load_metadata, naming the file and line
+    READ_BACK = "{tsv}: line {line}: domain 'D0,y' contains the delimiter ','; " \
+                "it would not read back"
+
     @pytest.mark.parametrize("command, domain, problem", [
-        ("lodo", "D0/x", "contains a path separator; it cannot name a ROC file"),
-        ("lodo", "D0,y", "contains the delimiter ','; it would not read back"),
-        ("ablate", "D0,y", "contains the delimiter ','; it would not read back"),
+        ("lodo", "D0/x", "domain 'D0/x' contains a path separator; it cannot name a ROC file"),
+        ("lodo", "D0,y", READ_BACK),
+        ("ablate", "D0,y", READ_BACK),
     ], ids=["lodo-slash", "lodo-comma", "ablate-comma"])
     def test_unwritable_domain_before_any_fold(self, dataset, tmp_path, capsys,
                                                monkeypatch, command, domain, problem):
@@ -104,7 +109,8 @@ class TestValidation:
                    "ablate": ["--out-table", str(out)]}[command]
         rc = run([command, "--expr", str(expr), "--meta", str(tsv), *FAST_TRAIN, *outputs])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: domain {domain!r} {problem}\n"
+        line = next(i for i, row in enumerate(rows, start=1) if row[1] == domain)
+        assert capsys.readouterr().err == f"error: {problem.format(tsv=tsv, line=line)}\n"
         assert not out.exists()
 
     def test_malformed_flag_value(self, capsys):

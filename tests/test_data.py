@@ -11,6 +11,7 @@ from fourierdg.data import (
     _column_var,
     align_genes,
     binarize_ic50,
+    check_names,
     load_expression,
     load_metadata,
     lodo_split,
@@ -160,6 +161,13 @@ PARSER_CASES = [
      "line 2: non-numeric value 'x' for gene 'g1'"),
     ("large-finite-values", "sample_id,g1,g2\ns1,1e308,1e308\ns2,-1.7e308,1.7e308\n",
      None),
+    # names the writers refuse are refused when read
+    ("csv-tab-in-sample-id", "sample_id,g1\ns1,1\na\tb,2\n",
+     "line 3: sample id 'a\\tb' contains the delimiter '\\t'; it would not read back"),
+    ("tsv-comma-in-sample-id", "sample_id\tg1\na,b\t1\n",
+     "line 2: sample id 'a,b' contains the delimiter ','; it would not read back"),
+    ("tsv-comma-in-gene-name", "sample_id\tg1\tg,2\ns1\t1\t2\n",
+     "line 1: gene name 'g,2' contains the delimiter ','; it would not read back"),
 ]
 
 # (id, metadata file text, expected ParseError text)
@@ -185,6 +193,15 @@ METADATA_CASES = [
     ("line-separator-in-row",
      "sample_id,domain,ic50,response\ns1,lung,0.5,\u2028s1,skin,,1\n",
      "line 3: duplicate sample_id 's1'"),
+    # names the writers refuse are refused when read
+    ("csv-tab-in-sample-id", "sample_id,domain,ic50,response\ns1,lung,0.5,\na\tb,lung,,1\n",
+     "line 3: sample id 'a\\tb' contains the delimiter '\\t'; it would not read back"),
+    ("csv-tab-in-domain", "sample_id,domain,ic50,response\ns1,lu\tng,0.5,\n",
+     "line 2: domain 'lu\\tng' contains the delimiter '\\t'; it would not read back"),
+    ("tsv-comma-in-sample-id", "sample_id\tdomain\tic50\tresponse\na,b\tlung\t0.5\t\n",
+     "line 2: sample id 'a,b' contains the delimiter ','; it would not read back"),
+    ("tsv-comma-in-domain", "sample_id\tdomain\tic50\tresponse\ns1\tlu,ng\t0.5\t\n",
+     "line 2: domain 'lu,ng' contains the delimiter ','; it would not read back"),
 ]
 
 
@@ -212,6 +229,13 @@ def _read_lines(path) -> list[tuple[int, str]]:
 
 def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
+
+
+def _check_name(kind: str, name: str, lineno: int):
+    try:
+        check_names(kind, [name])
+    except ParameterError as e:
+        raise ParseError(f"line {lineno}: {e}") from None
 
 
 def _parse_float(cell: str, lineno: int, context: str) -> float:
@@ -243,6 +267,8 @@ def _expression_header(lines: list[tuple[int, str]]) -> tuple[str, list[str]]:
         )
     if len(set(gene_names)) != len(gene_names):
         raise ParseError(f"line {lineno}: duplicate gene names in header")
+    for gene in gene_names:
+        _check_name("gene name", gene, lineno)
     return delim, gene_names
 
 
@@ -261,6 +287,7 @@ def _parse_rows_checked(
                 f"line {lineno}: expected {n_fields} fields, got {len(cells)}"
             )
         sid = cells[0]
+        _check_name("sample id", sid, lineno)
         if sid in seen:
             raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
         seen.add(sid)
