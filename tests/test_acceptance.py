@@ -256,13 +256,12 @@ class TestCriterion7LeakageGuard:
         corrupted[held_out_rows, :] = 1e6 * np.sin(np.arange(corrupted.shape[1]))
         gm_corrupted = GeneMatrix(gm.sample_ids, gm.gene_names, corrupted)
         _, ckpt_cor, _ = run_fold(gm_corrupted, metas, "D1", cfg, hvg=30)
-        stats_same = np.array_equal(
-            ckpt.stats.mean, ckpt_cor.stats.mean
-        ) and np.array_equal(ckpt.stats.std, ckpt_cor.stats.std)
+        stats_same = np.array_equal(ckpt.stats.mean, ckpt_cor.stats.mean) and np.array_equal(
+            ckpt.stats.std, ckpt_cor.stats.std)
         # the saved files hold every trained array's bytes after the header
         saved = []
-        for tag, result in (("clean", ckpt), ("corrupted", ckpt_cor)):
-            save_checkpoint(tmp_path / tag, result)
+        for tag, trained in (("clean", ckpt), ("corrupted", ckpt_cor)):
+            save_checkpoint(tmp_path / tag, trained)
             saved.append((tmp_path / tag).read_bytes())
         params_same = saved[0] == saved[1]
         verdict(
