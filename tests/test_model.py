@@ -272,6 +272,24 @@ class TestFloat32Model:
         f32 = np.dtype(np.float32)
         assert seen == [(f32, f32), (f32, f32), (f32, None)]
 
+    # a confidently wrong row keeps its whole gradient at the logit,
+    # (sigmoid(l) - y) / b, although sigmoid(20) is 1.0 in float32
+    def test_saturated_logit_gradient(self):
+        logit = np.array([[20.0], [-90.0]], dtype=np.float32)
+        _, grad = classification_loss(logit, [0, 1])
+        assert grad.dtype == np.float64
+        assert grad == pytest.approx([0.5, -0.5], rel=1e-8)
+
+    def test_saturated_bias_gradient(self):
+        p32, _, x = self.twins()
+        p32.clf_w.value[...] = 0.0
+        p32.clf_b.value[...] = 20.0
+        lambda2 = 1.3
+        batch_objective(x, self.Y, self.DOM, p32, GrlConfig(0.9), 0.7, lambda2)
+        n_resistant = int((self.Y == 0).sum())
+        assert p32.clf_b.grad.dtype == np.float32
+        assert p32.clf_b.grad[0] == pytest.approx(lambda2 * n_resistant / self.Y.size, rel=1e-6)
+
 
 def objective_terms(params, x, y, dom):
     """(l_asy, l_adv, l_cls) of a train-mode forward without dropout."""
