@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor_core import Array
+from .tensor_core import Array, sigmoid
 
 COS_EPS = 1e-12
-PROB_EPS = 1e-12
 
 
 @dataclass
@@ -131,20 +130,19 @@ def domain_adversarial_loss(logits: Array, domain) -> tuple[float, Array]:
     return loss, grad / b
 
 
-def classification_loss(p, response) -> tuple[float, Array]:
-    """Mean binary cross-entropy on predicted sensitivity probabilities.
+def classification_loss(logit, response) -> tuple[float, Array]:
+    """Mean binary cross-entropy of sensitivity logits l:
+    mean(log(1 + e^l) - y l).
 
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs; the
-    gradient is taken at the clamped values.
+    Gradient is (sigmoid(l) - y) / batch, taken in float64 from the logit,
+    so a confidently wrong row keeps its whole gradient in float32 too.
     """
-    p = np.clip(np.asarray(p, dtype=np.float64).ravel(), PROB_EPS, 1.0 - PROB_EPS)
+    logit = np.asarray(logit, dtype=np.float64).ravel()
     y = np.asarray(response, dtype=np.float64).ravel()
-    if p.shape != y.shape:
-        raise ParameterError("probability and label vectors must match in length")
-    b = p.size
-    loss = float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())
-    grad = (p - y) / (p * (1.0 - p)) / b
-    return loss, grad
+    if logit.shape != y.shape:
+        raise ParameterError("logit and label vectors must match in length")
+    loss = float((np.logaddexp(0.0, logit) - y * logit).mean())
+    return loss, (sigmoid(logit) - y) / logit.size
 
 
 def total_loss(

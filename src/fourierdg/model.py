@@ -38,7 +38,6 @@ from .tensor_core import (
     flat_views,
     grad_check,
     relu,
-    sigmoid,
     zeros_mapped,
 )
 
@@ -253,8 +252,8 @@ def forward_full(
 ) -> tuple[Array, Array, Array]:
     """Train-mode forward of the whole network, recorded on ``tapes``.
 
-    Returns (z, p_response, domain_logits) where z are the frequency
-    features feeding both heads.  The discriminator tape starts with the
+    Returns (z, logit, domain_logits) where z are the frequency features
+    feeding both heads and ``logit`` (b x 1) is the response logit.  The discriminator tape starts with the
     reversal layer of ``grl``, whose backward is -coefficient * upstream;
     ``grl=None`` omits it (forward output is identical either way).
     Scoring uses the eval-mode path of ``train._score``.
@@ -263,7 +262,6 @@ def forward_full(
     z = fourier.project(h, params.basis, tapes.encoder)
 
     logit = affine(z, params.clf_w, params.clf_b, tapes.classifier)
-    p = sigmoid(logit, tapes.classifier).ravel()
 
     disc_tape = tapes.discriminator
     if grl is not None:
@@ -271,7 +269,7 @@ def forward_full(
         disc_tape.record(lambda dy: -coeff * dy)
     a = relu(affine(z, params.disc_w1, params.disc_b1, disc_tape), disc_tape)
     logits = affine(a, params.disc_w2, params.disc_b2, disc_tape)
-    return z, p, logits
+    return z, logit, logits
 
 
 def batch_objective(
@@ -296,16 +294,16 @@ def batch_objective(
     in float64; their gradients are cast to the model's dtype.
     """
     tapes = ForwardTapes()
-    z, p, logits = forward_full(x, params, grl, tapes, rng, dropout_p)
-    l_cls, dp = classification_loss(p, response)
+    z, logit, logits = forward_full(x, params, grl, tapes, rng, dropout_p)
+    l_cls, dlogit = classification_loss(logit, response)
     l_adv, dlogits = domain_adversarial_loss(logits, domain)
     l_asy, dz_asy = asymmetric_loss(z, response)[:2] if lambda1 != 0.0 else (0.0, None)
-    dp, dlogits = (g.astype(params.dtype, copy=False) for g in (dp, dlogits))
+    dlogit, dlogits = (g.astype(params.dtype, copy=False) for g in (dlogit, dlogits))
     lambda1, lambda2 = float(lambda1), float(lambda2)  # numpy scalars would upcast
 
     for t in params.trainables():
         t.zero_grad()
-    dz = tapes.classifier.backward(lambda2 * dp[:, None])
+    dz = tapes.classifier.backward(lambda2 * dlogit[:, None])
     dz = dz + tapes.discriminator.backward(dlogits)
     if dz_asy is not None:
         dz = dz + lambda1 * dz_asy.astype(params.dtype, copy=False)

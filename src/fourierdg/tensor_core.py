@@ -2,11 +2,11 @@
 
 Matrices are 2-D C-contiguous numpy arrays of one float dtype: float32
 while ``fit`` trains, float64 everywhere else; every primitive keeps its
-input's dtype.  Every primitive optionally records itself on a
-:class:`GradTape`; replaying the tape propagates an upstream gradient back
-through the chain in exact reverse order of the forward calls,
+input's dtype.  The training primitives optionally record themselves on
+a :class:`GradTape`; replaying the tape propagates an upstream gradient
+back through the chain in exact reverse order of the forward calls,
 accumulating parameter gradients into :class:`Param` objects along the
-way.
+way.  ``sigmoid`` and ``eval_norm_relu`` record nothing.
 """
 
 from __future__ import annotations
@@ -214,14 +214,11 @@ def relu(x: Array, tape: Optional[GradTape] = None) -> Array:
     return y
 
 
-def sigmoid(x: Array, tape: Optional[GradTape] = None) -> Array:
-    """Numerically stable logistic function."""
+def sigmoid(x: Array) -> Array:
+    """Numerically stable logistic function; records no backward."""
     # exp(-|x|) never overflows; min(x, -x) keeps a NaN's sign bit
     e = np.exp(np.minimum(x, -x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if tape is not None:
-        tape.record(lambda dy: dy * y * (1.0 - y))
-    return y
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def batchnorm(

@@ -138,7 +138,7 @@ class TestCriterion3LossIdentities:
         for m in (2, 3, 4, 7):
             loss, _ = domain_adversarial_loss(np.zeros((5, m)), [0, 1, 0, 1, 0])
             adv_ok = adv_ok and abs(loss - np.log(m)) <= 1e-12
-        bce, _ = classification_loss([0.5, 0.5, 0.5], [1, 0, 1])
+        bce, _ = classification_loss([0.0, 0.0, 0.0], [1, 0, 1])
         bce_ok = abs(bce - np.log(2)) <= 1e-12
         lin_ok = True
         for l1 in (0.0, 0.3, 1.0, 2.5):

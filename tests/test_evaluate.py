@@ -416,10 +416,10 @@ class TestCsvWriters:
 # sha256 of every file the harness writes for tiny_benchmark at TINY's
 # config: the LODO report, each fold's ROC and the seeds 1, 2 ablation
 PINNED_HARNESS = {
-    "ablation.csv": "9a2bb19217dba9315413d5f819f4b05b2e72ef5ba8ba83fb14b2108fcec6ddcb",
-    "report.csv": "83fd40c81985953752b2b1c0bdc8e7a32777f4cf71c2a45cf763b7584b1ad0b5",
+    "ablation.csv": "97fd95c763ee01facfb1840b3e6744350081afa46563607ab191b73e5e2a6772",
+    "report.csv": "16c5e9b2d253fdcdbc87b9bd13f01d8850c26e3199ec57f1ebee22f2e6f9ee4d",
     "roc_D0.csv": "8b2360cf6348684c9b984b888b7d2bc84efe1152ae2e872168e05ec048d1c83b",
-    "roc_D1.csv": "32c9c3e5b0f9cbe560b97e9aeff25fe263efa7253771e4deecde537beee8c060",
+    "roc_D1.csv": "67ce7a7757b638dfd4cf1a628af572f00e86b3b1d749597d60eba2df4643f17c",
     "roc_D2.csv": "f041fe2a76acd7676dc43abdc24c2832d7f8abfc8b3bd2fb30e99cdc8cdef6b4",
 }
 

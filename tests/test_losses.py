@@ -273,34 +273,36 @@ class TestDomainAdversarialLoss:
 
 class TestClassificationLoss:
     def test_float32_certainty_is_finite(self):
-        # 1 - PROB_EPS is 1.0 in float32; the clamp works in float64
-        loss, grad = classification_loss(np.ones(2, np.float32), [0, 1])
-        assert np.isfinite(loss) and np.isfinite(grad).all()
-        assert grad.dtype == np.float64
+        # the largest float32 logits, each on the wrong side
+        big = np.finfo(np.float32).max
+        loss, grad = classification_loss(np.array([big, -big], np.float32), [0, 1])
+        assert loss == float(big)
+        assert grad.dtype == np.float64 and list(grad) == [0.5, -0.5]
 
     def test_max_entropy(self):
-        loss, _ = classification_loss([0.5, 0.5], [1, 0])
+        loss, _ = classification_loss([0.0, 0.0], [1, 0])
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
-    def test_perfect_prediction(self):
-        loss, _ = classification_loss([1.0, 0.0], [1, 0])
-        assert loss <= 1e-11
+    def test_near_perfect_logits(self):
+        loss, _ = classification_loss([40.0, -40.0], [1, 0])
+        assert 0.0 < loss <= 1e-11
 
     def test_scalar_oracle(self):
-        loss, _ = classification_loss([0.9, 0.2], [1, 0])
+        # sigmoid(ln 9) = 0.9 and sigmoid(ln 0.25) = 0.2
+        loss, _ = classification_loss([np.log(9), np.log(0.25)], [1, 0])
         assert loss == pytest.approx((-np.log(0.9) - np.log(0.8)) / 2, abs=1e-12)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(7)
-        p0 = rng.uniform(0.05, 0.95, 6)
-        y = np.array([1, 0, 1, 0, 0, 1])
-        _, grad = classification_loss(p0, y)
-        h = 1e-7
-        for i in range(6):
-            pp, pm = p0.copy(), p0.copy()
-            pp[i] += h
-            pm[i] -= h
-            fd = (classification_loss(pp, y)[0] - classification_loss(pm, y)[0]) / (2 * h)
+        l0 = np.concatenate([rng.uniform(-5, 5, 6), [30.0, -30.0, 30.0, -30.0]])
+        y = np.array([1, 0, 1, 0, 0, 1, 1, 0, 0, 1])
+        _, grad = classification_loss(l0, y)
+        h = 1e-6
+        for i in range(l0.size):
+            lp, lm = l0.copy(), l0.copy()
+            lp[i] += h
+            lm[i] -= h
+            fd = (classification_loss(lp, y)[0] - classification_loss(lm, y)[0]) / (2 * h)
             assert abs(fd - grad[i]) / max(1, abs(fd)) < 1e-6
 
 

@@ -28,7 +28,7 @@ from fourierdg.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from fourierdg.tensor_core import RngState, grad_check
+from fourierdg.tensor_core import RngState, affine, grad_check
 from fourierdg.train import Adam, TrainConfig
 
 def small_params(seed=0, genes=12, m=3):
@@ -157,11 +157,11 @@ class TestEncode:
 
 
 class TestForwardFull:
-    def test_probability_range(self):
+    def test_logit_is_the_classifier_affine(self):
         params = small_params()
         x = np.random.default_rng(2).standard_normal((6, 12))
-        _, p, _ = forward_full(x, params, GrlConfig(1.0), ForwardTapes())
-        assert np.all((p > 0) & (p < 1))
+        z, logit, _ = forward_full(x, params, GrlConfig(1.0), ForwardTapes())
+        assert np.array_equal(logit, affine(z, params.clf_w, params.clf_b))
 
     def test_z_matches_composition(self):
         params = small_params()
@@ -262,8 +262,8 @@ class TestFloat32Model:
 
         monkeypatch.setattr(model.GradTape, "backward", spy)
         p32, _, x = self.twins()
-        z, p, logits = forward_full(x, p32, GrlConfig(0.9), ForwardTapes(), RngState(1), 0.5)
-        assert z.dtype == p.dtype == logits.dtype == np.float32
+        z, logit, logits = forward_full(x, p32, GrlConfig(0.9), ForwardTapes(), RngState(1), 0.5)
+        assert z.dtype == logit.dtype == logits.dtype == np.float32
         # numpy scalars, which a TrainConfig accepts, must not promote either
         grl, lambda1, lambda2 = GrlConfig(np.float64(0.9)), np.float64(0.7), np.float64(1.3)
         batch_objective(x, self.Y, self.DOM, p32, grl, lambda1, lambda2, RngState(1), 0.5)
@@ -293,9 +293,9 @@ class TestFloat32Model:
 
 def objective_terms(params, x, y, dom):
     """(l_asy, l_adv, l_cls) of a train-mode forward without dropout."""
-    z, p, logits = forward_full(x, params, None, ForwardTapes())
+    z, logit, logits = forward_full(x, params, None, ForwardTapes())
     return (asymmetric_loss(z, y)[0], domain_adversarial_loss(logits, dom)[0],
-            classification_loss(p, y)[0])
+            classification_loss(logit, y)[0])
 
 
 class TestBatchObjective:

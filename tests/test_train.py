@@ -410,11 +410,11 @@ def test_float32_scores_stay_inside_the_open_interval():
 
 @pytest.mark.parametrize("genes, hidden, d, per_domain, encode_sha, predict_sha", [
     (30, 20, 12, 10,
-     "dd324ecaf5347c1525ef9c79f3046975473dca34fed6a3e71cb000504e46abe1",
-     "b4b67fb22bcc68ddc9d4d2cd4ee152a797cf1865c692dd181fecef9aa0ffbd60"),
+     "400c59a8fa998c7d55cd151efa71e8c9b1783e8e06076e43da7dd0e2b7a9c80f",
+     "382ac9534bfd02985b2d989fd1222f90304248c5255bcf6e615afcfcb138fa63"),
     (16, 16, 16, 7,
-     "34f92cfb348c24b4aa4b9378e0ced4beddfc4da61c95b249e11547451189ab4d",
-     "b5806a33f1f03f59af8e0894cd5351a8cb2ba234957f0e54a4d7380750b335e1"),
+     "0c3e3d2a076ed424d29dfff57eb1e7da0c1bb65c6428015cb9768b6ab2e27cf3",
+     "f70408b32f9f537f6d54158c903a0f5f411a613a69c4e11e233a48795932c391"),
 ], ids=["genes-ne-hidden", "21-cohort-rows"])
 def test_eval_bits_pinned(genes, hidden, d, per_domain, encode_sha, predict_sha):
     """The eval-mode encoder output and the ``predict`` scores of a trained
