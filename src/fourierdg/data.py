@@ -201,7 +201,7 @@ def load_expression(path) -> GeneMatrix:
             finite = False
         if not finite:
             for cell, gene in zip(cells, gene_names):
-                _parse_float(cell.strip(), lineno, f"for gene {gene!r}")
+                _parse_float(cell, lineno, f"for gene {gene!r}")
     shape = (len(sample_ids), len(gene_names))
     return GeneMatrix(sample_ids, gene_names, np.frombuffer(values).reshape(shape))
 

@@ -168,6 +168,9 @@ PARSER_CASES = [
      "line 2: sample id 'a,b' contains the delimiter ','; it would not read back"),
     ("tsv-comma-in-gene-name", "sample_id\tg1\tg,2\ns1\t1\t2\n",
      "line 1: gene name 'g,2' contains the delimiter ','; it would not read back"),
+    # str.strip removes \x1f but float does not; a cell is checked as read
+    ("unit-separator-in-cell", "sample_id,g1,g2\ns1,1\x1f,2\ns2,3,4\n",
+     "line 2: non-numeric value '1\\x1f' for gene 'g1'"),
 ]
 
 # (id, metadata file text, expected ParseError text)
@@ -281,12 +284,12 @@ def _parse_rows_checked(
     seen: set[str] = set()
     values: list[list[float]] = []
     for lineno, line in rows:
-        cells = [c.strip() for c in line.split(delim)]
+        cells = line.split(delim)
         if len(cells) != n_fields:
             raise ParseError(
                 f"line {lineno}: expected {n_fields} fields, got {len(cells)}"
             )
-        sid = cells[0]
+        sid = cells[0].strip()
         _check_name("sample id", sid, lineno)
         if sid in seen:
             raise ParseError(f"line {lineno}: duplicate sample_id {sid!r}")
