@@ -253,9 +253,10 @@ def forward_full(
     """Train-mode forward of the whole network, recorded on ``tapes``.
 
     Returns (z, logit, domain_logits) where z are the frequency features
-    feeding both heads and ``logit`` (b x 1) is the response logit.  The discriminator tape starts with the
-    reversal layer of ``grl``, whose backward is -coefficient * upstream;
-    ``grl=None`` omits it (forward output is identical either way).
+    feeding both heads and ``logit`` (b x 1) is the response logit.  The
+    discriminator tape starts with the reversal layer of ``grl``, whose
+    backward is -coefficient * upstream; ``grl=None`` omits it (forward
+    output is identical either way).
     Scoring uses the eval-mode path of ``train._score``.
     """
     h = encode(x, params, "train", rng, dropout_p, tapes.encoder)

@@ -283,7 +283,7 @@ class TestClassificationLoss:
         loss, _ = classification_loss([0.0, 0.0], [1, 0])
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
-    def test_near_perfect_logits(self):
+    def test_perfect_prediction(self):
         loss, _ = classification_loss([40.0, -40.0], [1, 0])
         assert 0.0 < loss <= 1e-11
 
